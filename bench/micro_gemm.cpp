@@ -25,17 +25,12 @@
 //    from a pack-once cache slot — `pack_bytes_reduction` (warm-call
 //    gemm_pack_bytes over cold) must clear 0.80.
 //
-// Two reduced-precision sections measure the inference tiers against the
-// fp32 fast path on the same warm-weight-cache footing:
-//  - "bf16": the bytes tier. `pack_ratio` (bf16 staged pack bytes over
-//    fp32, a deterministic byte count) must stay at or under 0.55 in CI;
-//    speedup is reported but not gated (halved panel traffic roughly
-//    cancels the widening cost on compute-bound shapes).
-//  - "int8": the speed tier. `speedup` (warm fp32 ms over warm int8 ms,
-//    single thread) must clear 1.5x in CI on every committed shape.
-// `identical` in both sections asserts the tier's output is bit-identical
-// between the SIMD and portable micro-kernels — the determinism contract
-// extends to reduced precision.
+// The "int8" section measures the reduced-precision inference tier against
+// the fp32 fast path on the same warm-weight-cache footing: `speedup`
+// (warm fp32 ms over warm int8 ms, single thread) must clear 1.5x in CI on
+// every committed shape. `identical` asserts the tier's output is
+// bit-identical between the SIMD and portable micro-kernels — the
+// determinism contract extends to reduced precision.
 //
 // The "conv" section measures the implicit-GEMM convolution path (pack_B
 // gathers patches straight from the NCHW image) against the staged
@@ -293,7 +288,7 @@ int main() {
     run.manifest().set(std::string(s.name) + "_pack_reduction", reduction);
   }
 
-  // ---- reduced-precision inference tiers -----------------------------------
+  // ---- int8 inference tier -------------------------------------------------
   // Weights in A (conv layout, M = Cout) served from a warm cache slot in
   // every timed call — the steady inference state, so the comparison is
   // compute + activation staging, not weight (re)quantization. The int8
@@ -306,8 +301,8 @@ int main() {
       {"gemm_256", 256, 256, 256},
       {"gemm_384", 384, 384, 384},
   };
-  for (const GemmPrecision tier :
-       {GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+  {
+    const GemmPrecision tier = GemmPrecision::kInt8;
     const char* tname = precision_name(tier);
     std::printf("  ],\n  \"%s\": [\n", tname);
     for (std::size_t si = 0; si < lp_shapes.size(); ++si) {
@@ -381,9 +376,7 @@ int main() {
   // forward_fused walk, single-threaded and fully warm on both sides.
   // `plan_speedup` (fused_ms / plan_ms) is the CI gate (>= 1.10), and
   // `identical` asserts the compiled plan reproduces forward_fused
-  // bit-for-bit. `default_ms` recompiles with autotuning pinned off
-  // (the ADVP_TUNE=0 path) — also bit-identical, by the kernel's k-order
-  // contract.
+  // bit-for-bit.
   std::printf("  ],\n  \"plan\": [\n");
   {
     Rng mrng(1234);
@@ -436,30 +429,16 @@ int main() {
       const double fused_ms = best_ms(reps, [&] { fwd(); });
 
       nn::plan_detail::force_plan(1);
-      fwd();  // compiles (autotuned) + warms
+      fwd();  // compiles + warms
       const double plan_ms = best_ms(reps, [&] { fwd(); });
-      bool identical = same_output(fused_t, fused_v);
-      std::string geometry;
-      if (nn::ExecPlan* plan = pc.is_yolo ? yolo.compile_plan(pc.batch)
-                                          : dist.compile_plan(pc.batch))
-        geometry = plan->geometry_string();
-
-      // Recompile with autotuning off: the build-default blocking.
-      nn::plan_detail::force_tune(0);
-      bump_weight_generation();
-      fwd();
-      const double default_ms = best_ms(reps, [&] { fwd(); });
-      identical = identical && same_output(fused_t, fused_v);
-      nn::plan_detail::force_tune(-1);
+      const bool identical = same_output(fused_t, fused_v);
       nn::plan_detail::force_plan(-1);
 
       std::printf(
           "    {\"name\": \"%s\", \"batch\": %d, \"fused_ms\": %.4f, "
           "\"plan_ms\": %.4f, \"plan_speedup\": %.2f, "
-          "\"default_ms\": %.4f, \"tuned_vs_default\": %.2f, "
-          "\"geometry\": \"%s\", \"identical\": %s}%s\n",
+          "\"identical\": %s}%s\n",
           pc.name, pc.batch, fused_ms, plan_ms, fused_ms / plan_ms,
-          default_ms, default_ms / plan_ms, geometry.c_str(),
           identical ? "true" : "false",
           ci + 1 < cases.size() ? "," : "");
       run.manifest().set(std::string(pc.name) + "_speedup",
@@ -487,8 +466,6 @@ int main() {
          GemmPrecision::kFp32},
         {"conv_mid_k3s1_b1", 1, 16, 32, 64, 64, 3, 1, 1,
          GemmPrecision::kFp32},
-        {"conv_bf16_k3s1_b4", 4, 16, 32, 64, 64, 3, 1, 1,
-         GemmPrecision::kBf16},
         {"conv_int8_k3s1_b4", 4, 16, 32, 64, 64, 3, 1, 1,
          GemmPrecision::kInt8},
     };

@@ -238,7 +238,6 @@ void record_plan(PlanRecord record) {
         existing.input_shape == record.input_shape &&
         existing.tier == record.tier) {
       existing.arena_bytes = record.arena_bytes;
-      existing.geometry = std::move(record.geometry);
       return;
     }
   }
@@ -526,8 +525,7 @@ std::string RunManifest::to_json() const {
     os << "      \"model\": " << quoted(plans[i].model) << ",\n";
     os << "      \"input_shape\": " << quoted(plans[i].input_shape) << ",\n";
     os << "      \"tier\": " << quoted(plans[i].tier) << ",\n";
-    os << "      \"arena_bytes\": " << plans[i].arena_bytes << ",\n";
-    os << "      \"geometry\": " << quoted(plans[i].geometry) << "\n    }";
+    os << "      \"arena_bytes\": " << plans[i].arena_bytes << "\n    }";
   }
   os << (plans.empty() ? "" : "\n  ") << "],\n";
 

@@ -138,16 +138,12 @@ std::vector<ModelArtifact> model_artifacts();
 
 /// One execution plan compiled by nn::ExecPlan while tracing was enabled.
 /// Manifests carry these under "plans" so a run records which models were
-/// served from compiled plans, at what shapes/tiers, and which GEMM
-/// blocking geometries the autotuner picked.
+/// served from compiled plans, and at what shapes/tiers.
 struct PlanRecord {
   std::string model;        ///< caller label, e.g. "tiny_yolo"
   std::string input_shape;  ///< "NxCxHxW" of the compiled input
-  std::string tier;         ///< "fp32" / "bf16" / "int8"
+  std::string tier;         ///< "fp32" / "int8"
   std::uint64_t arena_bytes = 0;  ///< pre-allocated intermediate bytes
-  /// Autotuned GEMM geometries, "mxkxn:mc/kc/nc" per planned GEMM
-  /// (0 = build default), ';'-joined.
-  std::string geometry;
 };
 
 /// @brief Records a compiled plan. Deduplicated by (model, input_shape,

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <utility>
 
 #include "core/check.h"
@@ -22,10 +19,9 @@ namespace advp::nn {
 namespace plan_detail {
 
 namespace {
-// ADVP_PLAN / ADVP_TUNE kill-switches with the usual test-hook overrides
-// (same pattern as the pack cache's ADVP_PACK_CACHE control).
+// ADVP_PLAN kill-switch with the usual test-hook override (same pattern
+// as the pack cache's ADVP_PACK_CACHE control).
 std::atomic<int> g_force_plan{-1};
-std::atomic<int> g_force_tune{-1};
 
 bool env_on(const char* name) {
   const char* e = std::getenv(name);
@@ -34,7 +30,6 @@ bool env_on(const char* name) {
 }  // namespace
 
 void force_plan(int mode) { g_force_plan.store(mode, std::memory_order_relaxed); }
-void force_tune(int mode) { g_force_tune.store(mode, std::memory_order_relaxed); }
 
 bool plan_enabled() {
   const int f = g_force_plan.load(std::memory_order_relaxed);
@@ -43,131 +38,7 @@ bool plan_enabled() {
   return on;
 }
 
-bool tune_enabled() {
-  const int f = g_force_tune.load(std::memory_order_relaxed);
-  if (f >= 0) return f != 0;
-  static const bool on = env_on("ADVP_TUNE");
-  return on;
-}
-
 }  // namespace plan_detail
-
-namespace {
-
-// ---- GEMM blocking autotune -------------------------------------------------
-//
-// Process-wide memo of (shape, tier, operand role) -> fastest blocking.
-// Every candidate is bit-identical by the kernel's k-order contract, so a
-// noisy measurement can only cost speed. Cached across plans: recompiles
-// (generation bumps) and sibling tenants with the same layer shapes pay
-// one benchmark per shape per process.
-
-struct TuneKey {
-  int m, k, n;
-  int tier;
-  bool weights_in_a;
-  bool operator==(const TuneKey& o) const {
-    return m == o.m && k == o.k && n == o.n && tier == o.tier &&
-           weights_in_a == o.weights_in_a;
-  }
-};
-
-struct TuneCache {
-  std::mutex mu;
-  std::vector<std::pair<TuneKey, GemmBlocking>> entries;
-};
-
-TuneCache& tune_cache() {
-  static TuneCache c;
-  return c;
-}
-
-// Products below this skip tuning outright: the candidate spread is noise
-// at small sizes and the compile-time cost would dominate the win.
-constexpr std::size_t kTuneMacFloor = std::size_t{512} * 1024;
-
-double time_once(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-GemmBlocking autotune_blocking(int m, int k, int n, GemmPrecision tier,
-                               bool weights_in_a) {
-  if (!plan_detail::tune_enabled()) return {};
-  if (!gemm_blocking_applies(m, n, k, tier)) return {};
-  const std::size_t macs =
-      static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  if (macs < kTuneMacFloor) return {};
-
-  const TuneKey key{m, k, n, static_cast<int>(tier), weights_in_a};
-  TuneCache& cache = tune_cache();
-  std::lock_guard<std::mutex> lk(cache.mu);
-  for (const auto& e : cache.entries)
-    if (e.first == key) return e.second;
-
-  // Candidate sets. int8 panels span the full (quad-padded) k, so only
-  // the stripe width varies; a cached op(B) image (the Linear role) pins
-  // Kc to the default, so its candidates vary Mc/Nc only.
-  std::vector<GemmBlocking> candidates;
-  if (tier == GemmPrecision::kInt8) {
-    candidates = {{0, 0, 0}, {0, 0, 512}, {0, 0, 256}};
-  } else if (weights_in_a) {
-    candidates = {{0, 0, 0},    {48, 128, 0},  {48, 256, 0},
-                  {192, 256, 0}, {96, 128, 0},  {96, 512, 0},
-                  {96, 256, 512}, {48, 256, 512}};
-  } else {
-    candidates = {{0, 0, 0}, {48, 0, 0}, {192, 0, 0}, {48, 0, 512},
-                  {0, 0, 512}};
-  }
-
-  // Deterministic synthetic operands (plan compilation must not touch RNG
-  // state); a local cache slot mimics the warm weight-pack the real
-  // forward enjoys, so timings reflect steady-state compute.
-  std::vector<float> a(static_cast<std::size_t>(m) * k);
-  std::vector<float> b(static_cast<std::size_t>(k) * n);
-  std::vector<float> c(static_cast<std::size_t>(m) * n);
-  std::uint32_t lcg = 0x9e3779b9u;
-  auto next = [&lcg]() {
-    lcg = lcg * 1664525u + 1013904223u;
-    return static_cast<float>(static_cast<int>(lcg >> 16) - 32768) / 32768.f;
-  };
-  for (auto& v : a) v = next();
-  for (auto& v : b) v = next();
-
-  GemmCacheSlot slot;
-  GemmExtra extra;
-  extra.precision = tier;
-  extra.weights_in_a = weights_in_a;
-  extra.act_scale = 1.f;  // pin the int8 activation scale (timing only)
-  if (weights_in_a)
-    extra.a_cache = &slot;
-  else
-    extra.b_cache = &slot;
-
-  auto run = [&]() {
-    gemm(m, n, k, a.data(), k, /*trans_a=*/false, b.data(), n,
-         /*trans_b=*/false, c.data(), n, /*accumulate=*/false, extra);
-  };
-
-  run();  // warm the pack slot and the scratch arena once
-  GemmBlocking best{};
-  double best_ms = -1.0;
-  for (const GemmBlocking& cand : candidates) {
-    extra.blocking = cand;
-    double ms = time_once(run);
-    ms = std::min(ms, time_once(run));
-    if (best_ms < 0.0 || ms < best_ms) {
-      best_ms = ms;
-      best = cand;
-    }
-  }
-  cache.entries.emplace_back(key, best);
-  return best;
-}
-
-}  // namespace
 
 // ---- ExecPlan ---------------------------------------------------------------
 
@@ -201,7 +72,6 @@ struct PlanOp {
   // pre-sized buffer (same expression as BatchNorm2d::forward, so the
   // fold always reflects the current running stats, bit-for-bit).
   std::vector<float> bn_inv_std;
-  GemmBlocking blocking;
 };
 
 }  // namespace
@@ -217,7 +87,6 @@ struct ExecPlan::Impl {
   AlignedBuffer slots[2];
   std::size_t slot_elems[2] = {0, 0};
   Tensor out;
-  std::vector<PlannedGemm> gemms;
 
   float* buffer(int idx) {
     return idx == 2 ? out.data() : slots[idx].data();
@@ -241,21 +110,6 @@ GemmPrecision ExecPlan::tier() const { return impl_->prec; }
 std::size_t ExecPlan::arena_bytes() const {
   return (impl_->slot_elems[0] + impl_->slot_elems[1]) * sizeof(float);
 }
-const std::vector<PlannedGemm>& ExecPlan::gemms() const {
-  return impl_->gemms;
-}
-
-std::string ExecPlan::geometry_string() const {
-  std::string s;
-  char buf[96];
-  for (const PlannedGemm& g : impl_->gemms) {
-    std::snprintf(buf, sizeof(buf), "%dx%dx%d:mc%d/kc%d/nc%d", g.m, g.k, g.n,
-                  g.blocking.mc, g.blocking.kc, g.blocking.nc);
-    if (!s.empty()) s += ';';
-    s += buf;
-  }
-  return s;
-}
 
 bool ExecPlan::valid_for(const std::vector<int>& in_shape,
                          GemmPrecision tier) const {
@@ -272,7 +126,6 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
   im.compiled = false;
   im.label = label;
   im.ops.clear();
-  im.gemms.clear();
   im.slot_elems[0] = im.slot_elems[1] = 0;
   im.prec = tier;
   im.in_shape = in_shape;
@@ -327,13 +180,8 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
           ++next;
         }
       }
-      const int patch = op.c * s.kernel * s.kernel;
-      const int pixels = op.oh * op.ow;
-      op.blocking = autotune_blocking(op.oc, patch, pixels, tier,
-                                      /*weights_in_a=*/true);
-      im.gemms.push_back({op.oc, patch, pixels, op.blocking});
       shape = {op.n, op.oc, op.oh, op.ow};
-      op.out_elems = static_cast<std::size_t>(op.n) * op.oc * pixels;
+      op.out_elems = static_cast<std::size_t>(op.n) * op.oc * op.oh * op.ow;
       im.ops.push_back(std::move(op));
       i = next - 1;
       continue;
@@ -357,9 +205,6 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
           ++i;
         }
       }
-      op.blocking = autotune_blocking(op.n, in_f, out_f, tier,
-                                      /*weights_in_a=*/false);
-      im.gemms.push_back({op.n, in_f, out_f, op.blocking});
       shape = {op.n, out_f};
       op.out_elems = static_cast<std::size_t>(op.n) * out_f;
       im.ops.push_back(std::move(op));
@@ -502,7 +347,6 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
     rec.input_shape = std::move(s);
     rec.tier = precision_name(tier);
     rec.arena_bytes = arena_bytes();
-    rec.geometry = geometry_string();
     obs::record_plan(std::move(rec));
   }
   return true;
@@ -544,7 +388,6 @@ void ExecPlan::Impl::run_conv(const PlanOp& op, const float* src,
   extra.precision = prec;
   const float range = conv->calibration_range();
   extra.act_scale = range > 0.f ? range / 127.f : 0.f;
-  extra.blocking = op.blocking;
 
   // One GEMM per batch item, written straight into the scheduled output
   // (epilogue applied) — no staging buffer, no scatter copy. Item columns
@@ -617,7 +460,6 @@ void ExecPlan::Impl::run_linear(const PlanOp& op, const float* src,
   extra.weights_in_a = false;
   const float range = lin->calibration_range();
   extra.act_scale = range > 0.f ? range / 127.f : 0.f;
-  extra.blocking = op.blocking;
   gemm(op.n, op.oc, op.c, src, op.c, /*trans_a=*/false,
        lin->weight().value.data(), op.c, /*trans_b=*/true, dst, op.oc,
        /*accumulate=*/false, extra);

@@ -2,10 +2,9 @@
 //
 // `Sequential::forward_fused` re-discovers the Conv[+BN][+act] fusion
 // structure with dynamic_cast chains on every call, allocates (and
-// zero-fills) a fresh intermediate Tensor per layer, and runs every GEMM
-// with the build's one global blocking geometry. ExecPlan moves all of
-// that to compile time. Compiling a model for one (input shape, precision
-// tier) runs four passes:
+// zero-fills) a fresh intermediate Tensor per layer. ExecPlan moves both to
+// compile time. Compiling a model for one (input shape, precision
+// tier) runs three passes:
 //
 //  1. Shape inference over the layer list — every intermediate's geometry
 //     is known before the first real forward.
@@ -18,13 +17,8 @@
 //     Reshapes (Flatten) and eval-mode Dropout are aliases: zero copies,
 //     zero ops. Steady-state execution performs zero heap allocations —
 //     asserted through the plan_steady_allocs obs counter, not by eye.
-//  4. GEMM blocking autotune — each planned GEMM shape times a small
-//     candidate set of Mc/Kc/Nc overrides and keeps the fastest
-//     (process-wide cache keyed by shape+tier, so recompiles and sibling
-//     tenants pay nothing). The kernel's k-order contract makes every
-//     candidate bit-identical, so timing noise can only cost speed,
-//     never correctness. ADVP_TUNE=0 pins the build defaults.
 //
+// Every planned GEMM runs the kernel's build-constant Mc/Kc/Nc blocking.
 // Execution is bit-identical to forward_fused (which stays as the
 // fallback for unsupported layers and as the bit-identity oracle in
 // tests), which is itself bit-identical to the eager child-by-child walk.
@@ -35,10 +29,9 @@
 // same bits.
 //
 // Invalidation mirrors GemmCacheSlot: a plan records the weight
-// generation at compile time and PlanCache recompiles (cheaply — the
-// autotune cache is warm) after any optimizer step, parameter load, or
-// `.advp` adoption. Precision changes select a different cache entry
-// outright, since the tier is part of the plan key.
+// generation at compile time and PlanCache recompiles after any optimizer
+// step, parameter load, or `.advp` adoption. Precision changes select a
+// different cache entry outright, since the tier is part of the plan key.
 //
 // ADVP_PLAN=0 is the kill-switch: PlanCache hands out no plans and every
 // forward takes the uncompiled path.
@@ -56,22 +49,9 @@ namespace plan_detail {
 /// @brief Test/bench hook overriding the ADVP_PLAN environment default:
 /// 0 forces plans off, 1 forces them on, -1 restores the env.
 void force_plan(int mode);
-/// @brief Test/bench hook overriding the ADVP_TUNE environment default:
-/// 0 pins the build's default blocking, 1 forces autotuning, -1 restores
-/// the env.
-void force_tune(int mode);
 /// @brief True when PlanCache may hand out compiled plans.
 bool plan_enabled();
-/// @brief True when plan compilation autotunes GEMM blocking.
-bool tune_enabled();
 }  // namespace plan_detail
-
-/// One GEMM the plan will execute, with the blocking the autotuner picked
-/// (all-zero = build defaults). Reported in manifests and bench output.
-struct PlannedGemm {
-  int m = 0, k = 0, n = 0;
-  GemmBlocking blocking;
-};
 
 /// A model compiled for one (input shape, precision tier). Compile once,
 /// execute on every matching forward; see the file comment for what the
@@ -86,7 +66,7 @@ class ExecPlan {
 
   /// @brief Compiles `layers` (run in order, as a Sequential would) for
   /// inputs of `in_shape` at tier `tier`. Runs shape inference, fusion,
-  /// the buffer schedule, the blocking autotune, and one warm-up execute
+  /// the buffer schedule, and one warm-up execute
   /// (so steady-state calls hit warm pack slots and a warm arena).
   /// @param label Model name recorded in obs plan records.
   /// @return false — leaving the plan invalid — when a layer kind or
@@ -112,10 +92,6 @@ class ExecPlan {
   GemmPrecision tier() const;
   /// Bytes pre-allocated for intermediate buffers (the ping-pong arena).
   std::size_t arena_bytes() const;
-  /// Planned GEMM shapes with their autotuned blocking.
-  const std::vector<PlannedGemm>& gemms() const;
-  /// "mxkxn:mc/kc/nc;..." summary of gemms() (manifest/bench string).
-  std::string geometry_string() const;
 
  private:
   struct Impl;

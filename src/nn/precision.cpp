@@ -32,7 +32,7 @@ GemmPrecision env_default() {
     GemmPrecision p = GemmPrecision::kFp32;
     ADVP_CHECK_MSG(parse_precision(e, &p),
                    "ADVP_PRECISION: unknown tier '"
-                       << e << "' (expected fp32, bf16, or int8)");
+                       << e << "' (expected fp32, or int8)");
     return p;
   }();
   return tier;
@@ -82,8 +82,6 @@ bool parse_precision(const char* name, GemmPrecision* out) {
   if (!name) return false;
   if (std::strcmp(name, "fp32") == 0) {
     *out = GemmPrecision::kFp32;
-  } else if (std::strcmp(name, "bf16") == 0) {
-    *out = GemmPrecision::kBf16;
   } else if (std::strcmp(name, "int8") == 0) {
     *out = GemmPrecision::kInt8;
   } else {

@@ -8,7 +8,7 @@
 //    workers spawned inside a scoped region inherit the caller's tier —
 //    enter scopes from the orchestrating thread only, before any fan-out.
 //    With no scope active the tier comes from the ADVP_PRECISION
-//    environment variable (fp32 | bf16 | int8; unset means fp32).
+//    environment variable (fp32 | int8; unset means fp32).
 //  - ThreadPrecisionScope: a thread-local override that wins over both
 //    PrecisionScope and the environment, on the entering thread only.
 //    This is the selection mechanism for serving worker threads
@@ -103,7 +103,7 @@ class CalibrationScope {
   CalibrationOptions opts_;
 };
 
-/// @brief Parses a tier name ("fp32" | "bf16" | "int8", as accepted in
+/// @brief Parses a tier name ("fp32" | "int8", as accepted in
 /// ADVP_PRECISION). Returns false (and leaves *out untouched) on anything
 /// else.
 bool parse_precision(const char* name, GemmPrecision* out);

@@ -9,8 +9,8 @@
 // `.advp` container (save_advp/load_advp): a single-file model artifact
 // holding the raw fp32 parameters, the activation calibration ranges, and
 // the weight operands of every Conv2d/Linear **pre-packed in the GEMM
-// panel layout** for all three inference tiers (fp32, bf16, calibrated
-// int8 with per-channel scales and compensation terms). Loading is an
+// panel layout** for both inference tiers (fp32, and calibrated int8 with
+// per-channel scales and compensation terms). Loading is an
 // mmap (or one read) plus pointer fixup into the layers' GemmCacheSlots:
 // the first forward performs zero weight pack/quantize work, and the
 // mapped pages are read-only and shared across serving processes. The
@@ -96,7 +96,7 @@ const char* advp_status_name(AdvpStatus s);
 
 /// Options for save_advp.
 struct AdvpSaveOptions {
-  /// Write pre-packed panel sections for all three tiers. Off produces a
+  /// Write pre-packed panel sections for both tiers. Off produces a
   /// raw-parameters-plus-calibration file (smaller, always portable, but
   /// loads cold).
   bool include_packed = true;
@@ -114,9 +114,10 @@ struct AdvpLoadOptions {
   /// Adopt the file's pre-packed panels into the layers' cache slots
   /// (when present, geometry-compatible, and the pack cache is enabled).
   bool adopt_packed = true;
-  /// Tier whose panels to adopt: a GemmPrecision cast to int, or negative
-  /// (default) to resolve the ambient tier (PrecisionScope::active()) at
-  /// load time.
+  /// Tier whose panels to adopt: GemmPrecision::kFp32 or kInt8 cast to
+  /// int, or -1 (default) to resolve the ambient tier
+  /// (PrecisionScope::active()) at load time. Any other value adopts
+  /// nothing; the raw weights still load and forward identically.
   int adopt_tier = -1;
   /// Map the file with mmap (falling back to a heap read when mapping is
   /// unavailable). Off forces the heap read — mainly for tests.

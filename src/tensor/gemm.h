@@ -15,7 +15,7 @@
 // micro-kernel loads C into its accumulator registers before each Kc
 // panel, so panel blocking never re-associates the sum — results are
 // bit-identical to the straightforward i-k-j loop, for any worker count,
-// any blocking geometry, and with the intrinsics path on or off.
+// any stripe geometry, and with the intrinsics path on or off.
 //
 // Transposed operands are handled inside the packing routines (reads are
 // re-strided while staging panels), so callers never materialize a
@@ -39,12 +39,6 @@
 //    bias, then normalize, then activate), so results stay bit-identical.
 //
 // Reduced-precision inference tier (opt-in per call via GemmExtra):
-//  - kBf16: packed panels store bf16 (round-to-nearest-even truncation of
-//    fp32), the micro-kernel widens back to fp32 (exact) and accumulates in
-//    fp32. Halves pack bytes and panel memory traffic; results are
-//    bit-identical across backends and worker counts (same FMA chain as
-//    fp32, just on rounded inputs), but differ from the fp32 tier by the
-//    storage rounding.
 //  - kInt8: the weight operand (the one whose GemmCacheSlot the caller
 //    provides; see GemmExtra::weights_in_a) is quantized symmetrically per
 //    output channel at pack time, the activation operand per tensor (scale
@@ -56,7 +50,7 @@
 //    blocking geometry by construction.
 // Quantized packed panels live in the same generation-counted cache slots
 // as fp32 packs (the slot key includes the precision), so warm inference
-// re-quantizes nothing. Low-precision calls require accumulate == false.
+// re-quantizes nothing. int8 calls require accumulate == false.
 #pragma once
 
 #include <cstddef>
@@ -92,22 +86,17 @@ struct GemmEpilogue {
 };
 
 /// Numeric tier a gemm() call runs at. fp32 is the default and the only
-/// tier usable for gradients; bf16/int8 are inference-only storage/compute
-/// reductions selected per call through GemmExtra (see file header).
+/// tier usable for gradients; int8 is an inference-only storage/compute
+/// reduction selected per call through GemmExtra (see file header). The
+/// values are stored in `.advp` section tables; 1 is reserved (a retired
+/// tier whose sections loaders skip) and must not be reused.
 enum class GemmPrecision : int {
   kFp32 = 0,  ///< fp32 storage, fp32 FMA accumulation (bit-exact seed path)
-  kBf16,      ///< bf16 packed panels, fp32 accumulation
-  kInt8,      ///< int8 packed panels, int32 accumulation, fp32 dequant
+  kInt8 = 2,  ///< int8 packed panels, int32 accumulation, fp32 dequant
 };
 
-/// @brief Human-readable tier name: "fp32", "bf16", or "int8".
+/// @brief Human-readable tier name: "fp32" or "int8".
 const char* precision_name(GemmPrecision p);
-
-/// @brief Round-to-nearest-even conversion of an fp32 value to bf16 bits.
-std::uint16_t bf16_from_f32(float v);
-
-/// @brief Exact widening of bf16 bits back to fp32.
-float bf16_to_f32(std::uint16_t h);
 
 /// One cached packed operand. Owned by the caller (typically a layer, so
 /// the slot dies with the weights it shadows — a slot must never outlive
@@ -178,26 +167,12 @@ struct PackSource {
   int out_h = 0, out_w = 0;  ///< conv output dims (out_h*out_w cols per item)
 };
 
-/// Per-call override of the cache-blocking geometry (Mc rows of A per
-/// inner block, Kc accumulation depth per panel, Nc stripe width). Zero
-/// fields keep the build defaults. Blocking is a pure scheduling choice:
-/// the k-order contract makes results bit-identical for any geometry, so
-/// an autotuner may pick whatever times fastest. Requested values are
-/// sanitized inside gemm() — Mc is rounded up to MR, Nc to NR, and Kc is
-/// ignored whenever a cached op(B) image serves the call (the canonical
-/// cached layout is keyed to the default Kc).
-struct GemmBlocking {
-  int mc = 0;
-  int kc = 0;
-  int nc = 0;
-};
-
 /// Optional extensions to a gemm() call.
 struct GemmExtra {
   GemmCacheSlot* a_cache = nullptr;  ///< pack-once cache for op(A)
   GemmCacheSlot* b_cache = nullptr;  ///< pack-once cache for op(B)
   const GemmEpilogue* epilogue = nullptr;
-  /// Numeric tier for this call. Non-fp32 tiers require accumulate=false.
+  /// Numeric tier for this call. int8 requires accumulate=false.
   GemmPrecision precision = GemmPrecision::kFp32;
   /// kInt8 only: which operand holds the weights (per-output-channel
   /// quantization runs over op(A) rows when true, op(B) columns when
@@ -208,24 +183,14 @@ struct GemmExtra {
   /// activation absmax serially before any fan-out, so the scale — and the
   /// result — is independent of worker count and stripe geometry.
   float act_scale = 0.f;
-  /// Cache-blocking override for this call (plan autotuner). Zero = build
-  /// defaults; ignored entirely on the small-shape naive fp32 path.
-  GemmBlocking blocking;
   /// Implicit-im2col source for op(B) (see PackSource). When set, `b` is
   /// ignored (pass nullptr) and the pack step gathers patch elements
   /// straight from the NCHW image. Requires trans_b == false semantics,
   /// no b_cache, k == c_in*kernel*kernel, n == items*out_h*out_w, and —
-  /// for the reduced tiers — weights_in_a. Results are bit-identical to
+  /// for int8 — weights_in_a. Results are bit-identical to
   /// staging the column matrix first.
   const PackSource* b_pack = nullptr;
 };
-
-/// @brief True when a gemm() of this shape at tier `p` runs the blocked
-/// kernel, i.e. when a GemmBlocking override can affect scheduling at all.
-/// fp32 falls back to the naive loop for tiny products and narrow C; the
-/// reduced-precision tiers always run blocked. Lets an autotuner skip
-/// shapes where candidate timing would measure nothing.
-bool gemm_blocking_applies(int m, int n, int k, GemmPrecision p);
 
 /// @brief C = op(A) * op(B), optionally accumulating into C.
 /// @param m,n,k Logical GEMM dimensions: op(A) is m x k, op(B) is k x n.
@@ -299,7 +264,7 @@ struct PackedWeightSpec {
 
 /// @brief Size in bytes of the canonical packed image for `spec` at tier
 /// `p`: full-k row panels for op(A) (d0 rounded up to MR), per-Kc-block
-/// column panels for fp32/bf16 op(B) (d1 rounded up to NR), full
+/// column panels for fp32 op(B) (d1 rounded up to NR), full
 /// quad-padded k for int8. Matches what a warm GemmCacheSlot holds.
 std::size_t packed_weights_bytes(const PackedWeightSpec& spec,
                                  GemmPrecision p);
@@ -314,7 +279,7 @@ int packed_weight_channels(const PackedWeightSpec& spec);
 /// miss, so an exported image can later be adopted verbatim. For kInt8,
 /// `scales` and `comp` (packed_weight_channels entries each) receive the
 /// per-channel quantization scales and +128-bias compensation terms and
-/// must be non-null; both are ignored for fp32/bf16.
+/// must be non-null; both are ignored for fp32.
 /// @throws advp::CheckError on a null/degenerate spec or missing int8
 ///   scale/comp destinations.
 void export_packed_weights(const PackedWeightSpec& spec, GemmPrecision p,

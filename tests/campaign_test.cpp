@@ -375,9 +375,8 @@ TEST_F(CampaignEngineTest, LockstepTracesMatchSerialAcrossPrecisionTiers) {
   const MatrixSpec spec = small_spec();
   const std::uint64_t n = spec.size();
 
-  for (GemmPrecision tier :
-       {GemmPrecision::kBf16, GemmPrecision::kInt8}) {
-    SCOPED_TRACE(tier == GemmPrecision::kBf16 ? "bf16" : "int8");
+  for (GemmPrecision tier : {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
+    SCOPED_TRACE(precision_name(tier));
     // Process-global scope: campaign runner threads inherit the tier.
     nn::PrecisionScope scope(tier);
     std::vector<AccResult> oracle;

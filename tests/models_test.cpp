@@ -132,7 +132,7 @@ TEST(DistNetTest, PredictInRange) {
 TEST(DistNetTest, PredictionGradMatchesNumeric) {
   // prediction_grad always runs fp32 (gradient paths ignore precision
   // tiers); pin the numeric differencing to fp32 as well so the check
-  // stays meaningful under an ADVP_PRECISION=bf16/int8 environment.
+  // stays meaningful under an ADVP_PRECISION=int8 environment.
   nn::PrecisionScope fp32(GemmPrecision::kFp32);
   Rng rng(6);
   DistNet model(DistNetConfig{}, rng);

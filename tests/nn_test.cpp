@@ -361,7 +361,7 @@ Sequential make_fusible_stack(Rng& rng) {
 
 TEST(InferenceModeTest, FusedForwardBitIdenticalToPlainEval) {
   // Exact fused-vs-plain identity only holds in fp32: pin it so the test
-  // also passes under an ADVP_PRECISION=bf16/int8 environment.
+  // also passes under an ADVP_PRECISION=int8 environment.
   PrecisionScope fp32(GemmPrecision::kFp32);
   Rng rng(15);
   Sequential net = make_fusible_stack(rng);

@@ -2,10 +2,13 @@
 // tiers and worker counts, strict rejection of corrupt/truncated/foreign
 // files (with the destination model left untouched), panel adoption and
 // mapping lifetime, the zoo's `.advp`-first weight cache, serving tenants
-// registered from a file, the committed golden fixture, and the legacy
-// stream's truncation/trailing-bytes regression tests.
+// registered from a file, the committed golden fixture (which doubles as
+// the legacy-sections case), and the legacy stream's
+// truncation/trailing-bytes regression tests.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -75,11 +78,44 @@ Tensor test_frame(std::uint64_t seed = 7) {
   return Tensor::rand({1, 3, 16, 16}, rng, 0.f, 1.f);
 }
 
+// Each test gets its own scratch directory, keyed on the process id and
+// the running test's name: test runners execute every test in its own
+// process, concurrently, and shared fixed names would race (one test's
+// temp-file rename or rewrite landing under another's load).
+fs::path test_dir() {
+  const ::testing::TestInfo* t =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string leaf = std::to_string(::getpid());
+  if (t) {
+    leaf += '_';
+    leaf += t->test_suite_name();
+    leaf += '.';
+    leaf += t->name();
+  }
+  std::replace(leaf.begin(), leaf.end(), '/', '_');
+  return fs::temp_directory_path() / "advp_serialize_format" / leaf;
+}
+
 std::string temp_file(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "advp_serialize_format";
+  const fs::path dir = test_dir();
   fs::create_directories(dir);
   return (dir / name).string();
 }
+
+// Removes this process's scratch directories once every test has run.
+class TempDirCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    const fs::path root = fs::temp_directory_path() / "advp_serialize_format";
+    const std::string prefix = std::to_string(::getpid()) + "_";
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(root, ec))
+      if (entry.path().filename().string().rfind(prefix, 0) == 0)
+        fs::remove_all(entry.path(), ec);
+  }
+};
+const ::testing::Environment* const kTempDirCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempDirCleanup);
 
 std::vector<unsigned char> read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -172,12 +208,36 @@ TEST(AdvpFormat, RoundTripBitIdenticalAcrossTiersAndWorkers) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     ScopedMaxWorkers scope(workers);
     for (const GemmPrecision tier :
-         {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+         {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
       Tensor a = eval_forward(src, frame, tier);
       Tensor b = eval_forward(dst, frame, tier);
       expect_bitwise_equal(a, b, "loaded model diverges from source");
     }
   }
+}
+
+// A fresh file carries panels for the two live tiers only: tier 1 (the
+// retired bf16 tier) is reserved and never written.
+TEST(AdvpFormat, WriterEmitsNoRetiredTierSections) {
+  models::TinyYolo src = calibrated_model(19);
+  const std::string path = temp_file("tiers.advp");
+  models::save_detector_advp(src, path);
+
+  nn::AdvpInfo info;
+  ASSERT_TRUE(nn::read_advp_info(path, &info).ok());
+  int fp32_panels = 0, int8_panels = 0;
+  for (const nn::AdvpSectionInfo& s : info.sections) {
+    EXPECT_NE(s.tier, 1u) << "section kind " << s.kind << ", layer "
+                          << s.layer << " carries the retired tier";
+    if (s.kind != static_cast<std::uint32_t>(nn::AdvpSection::kPackedPanels))
+      continue;
+    if (s.tier == static_cast<std::uint32_t>(GemmPrecision::kFp32))
+      ++fp32_panels;
+    if (s.tier == static_cast<std::uint32_t>(GemmPrecision::kInt8))
+      ++int8_panels;
+  }
+  EXPECT_GT(fp32_panels, 0);
+  EXPECT_EQ(fp32_panels, int8_panels);
 }
 
 TEST(AdvpFormat, CalibrationRangesRoundTrip) {
@@ -369,7 +429,7 @@ TEST(AdvpAdoption, ExplicitTierSelection) {
   if (!advp::pack_cache_enabled()) GTEST_SKIP() << "pack cache disabled";
 
   for (const GemmPrecision tier :
-       {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+       {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
     Rng rng(34);
     models::TinyYolo dst(small_config(), rng);
     nn::AdvpLoadOptions opts;
@@ -384,11 +444,35 @@ TEST(AdvpAdoption, ExplicitTierSelection) {
   }
 }
 
+// adopt_tier accepts -1 (ambient), fp32 and int8 only. Anything else —
+// the retired tier 1 included — adopts nothing: the load still succeeds
+// from the raw weights and forwards exactly like the source.
+TEST(AdvpAdoption, UnknownTierAdoptsNothing) {
+  models::TinyYolo src = calibrated_model(35);
+  const std::string path = temp_file("adopt_unknown.advp");
+  models::save_detector_advp(src, path);
+
+  for (const int tier : {1, 3, -2, 1 << 20}) {
+    SCOPED_TRACE(tier);
+    Rng rng(36);
+    models::TinyYolo dst(small_config(), rng);
+    nn::AdvpLoadOptions opts;
+    opts.adopt_tier = tier;
+    const auto r = models::load_detector_advp(dst, path, opts);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_FALSE(r.packed_adopted);
+    for (const GemmPrecision live :
+         {GemmPrecision::kFp32, GemmPrecision::kInt8})
+      expect_bitwise_equal(eval_forward(src, test_frame(), live),
+                           eval_forward(dst, test_frame(), live),
+                           "unadopted forward diverges from source");
+  }
+}
+
 // ---- zoo cache -------------------------------------------------------------
 
 TEST(AdvpZooCache, AdvpFirstWithLegacyFallbackAndUpgrade) {
-  const fs::path dir =
-      fs::temp_directory_path() / "advp_serialize_format_cache";
+  const fs::path dir = test_dir() / "cache";
   fs::remove_all(dir);
   const std::string cache_dir = dir.string();
 
@@ -521,7 +605,9 @@ TEST(AdvpServe, TenantFromFileMatchesDirectDetect) {
 // the content hash is a cross-platform constant. The file's *panel*
 // sections carry the writer's MR x NR geometry — a build with different
 // geometry parses the file and falls back to lazy packing, so this test
-// deliberately does NOT assert adoption.
+// deliberately does NOT assert adoption. The fixture predates the removal
+// of tier 1 (bf16) and still carries its sections: it is also the check
+// that legacy sections are skipped while fp32 and int8 load and forward.
 TEST(AdvpGolden, CommittedFixtureParsesVerifiesAndForwardsIdentically) {
   const std::string path = std::string(ADVP_GOLDEN_DIR) + "/tiny.advp";
   constexpr std::uint64_t kGoldenHash = 0x809880dc38aad48dULL;
@@ -534,6 +620,11 @@ TEST(AdvpGolden, CommittedFixtureParsesVerifiesAndForwardsIdentically) {
   ASSERT_TRUE(nn::read_advp_info(path, &info).ok());
   EXPECT_EQ(info.version, 1u);
   EXPECT_EQ(info.params.size(), 20u);
+  EXPECT_TRUE(std::any_of(info.sections.begin(), info.sections.end(),
+                          [](const nn::AdvpSectionInfo& s) {
+                            return s.tier == 1u;
+                          }))
+      << "the fixture should still carry legacy tier-1 sections";
 
   models::TinyYolo reference = golden_model();
   EXPECT_EQ(nn::param_fingerprint(reference.params()), kGoldenHash)
@@ -544,7 +635,7 @@ TEST(AdvpGolden, CommittedFixtureParsesVerifiesAndForwardsIdentically) {
   ASSERT_TRUE(loaded) << r.error;
   const Tensor frame = test_frame(80);
   for (const GemmPrecision tier :
-       {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+       {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
     expect_bitwise_equal(eval_forward(reference, frame, tier),
                          eval_forward(*loaded, frame, tier),
                          "golden fixture forward diverges");

@@ -61,12 +61,14 @@ const char* section_kind_name(std::uint32_t kind) {
   return "unknown";
 }
 
+// Tier 1 is the retired bf16 tier: files written before its removal still
+// carry its sections, which loaders skip.
 const char* tier_name(std::uint32_t tier) {
   switch (tier) {
     case 0:
       return "fp32";
     case 1:
-      return "bf16";
+      return "bf16 (legacy, not adopted)";
     case 2:
       return "int8";
   }

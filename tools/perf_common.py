@@ -58,13 +58,6 @@ def check_ratio(name, fresh_val, floor, label):
     return 1 if status == "FAIL" else 0
 
 
-def check_ceiling(name, fresh_val, ceiling, label):
-    """Prints the ok/FAIL line for a ceiling gate; returns 1 on FAIL."""
-    status = "ok" if fresh_val <= ceiling else "FAIL"
-    print(f"{status:4} {name}: {label} {fresh_val:.3f} (ceiling {ceiling:.2f})")
-    return 1 if status == "FAIL" else 0
-
-
 def report(failures, ok_msg, header=None, item_prefix="  - "):
     """Print the accumulated failure list (or ok_msg); return the exit code."""
     if failures:
