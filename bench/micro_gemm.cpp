@@ -32,9 +32,14 @@
 // bit-identical between the SIMD and portable micro-kernels — the
 // determinism contract extends to reduced precision.
 //
+// The "plan" section times whole-model inference through a compiled
+// nn::ExecPlan against its oracle, the eager walk (`eager_ms`);
+// `plan_speedup` must clear 1.10x in CI and `identical` asserts the two
+// agree bit-for-bit.
+//
 // The "conv" section measures the implicit-GEMM convolution path (pack_B
 // gathers patches straight from the NCHW image) against the staged
-// im2col + gemm path on the same warm fused footing —
+// im2col + gemm path on the same warm footing (bias-only epilogue) —
 // `conv_implicit_speedup` must clear 1.15x in CI and `identical` asserts
 // the two paths agree bit-for-bit.
 #include <algorithm>
@@ -372,11 +377,11 @@ int main() {
     }
   }
   // ---- compiled execution plans --------------------------------------------
-  // Whole-model inference through nn::ExecPlan versus the uncompiled
-  // forward_fused walk, single-threaded and fully warm on both sides.
-  // `plan_speedup` (fused_ms / plan_ms) is the CI gate (>= 1.10), and
-  // `identical` asserts the compiled plan reproduces forward_fused
-  // bit-for-bit.
+  // Whole-model inference through nn::ExecPlan versus its oracle, the
+  // eager walk under an InferenceModeScope, single-threaded and fully warm
+  // on both sides. `plan_speedup` (eager_ms / plan_ms) is the CI gate
+  // (>= 1.10), and `identical` asserts the compiled plan reproduces the
+  // eager walk bit-for-bit.
   std::printf("  ],\n  \"plan\": [\n");
   {
     Rng mrng(1234);
@@ -424,33 +429,34 @@ int main() {
 
       nn::plan_detail::force_plan(0);
       fwd();
-      const Tensor fused_t = out_t;
-      const std::vector<float> fused_v = out_v;
-      const double fused_ms = best_ms(reps, [&] { fwd(); });
+      const Tensor eager_t = out_t;
+      const std::vector<float> eager_v = out_v;
+      const double eager_ms = best_ms(reps, [&] { fwd(); });
 
       nn::plan_detail::force_plan(1);
       fwd();  // compiles + warms
       const double plan_ms = best_ms(reps, [&] { fwd(); });
-      const bool identical = same_output(fused_t, fused_v);
+      const bool identical = same_output(eager_t, eager_v);
       nn::plan_detail::force_plan(-1);
 
       std::printf(
-          "    {\"name\": \"%s\", \"batch\": %d, \"fused_ms\": %.4f, "
+          "    {\"name\": \"%s\", \"batch\": %d, \"eager_ms\": %.4f, "
           "\"plan_ms\": %.4f, \"plan_speedup\": %.2f, "
           "\"identical\": %s}%s\n",
-          pc.name, pc.batch, fused_ms, plan_ms, fused_ms / plan_ms,
+          pc.name, pc.batch, eager_ms, plan_ms, eager_ms / plan_ms,
           identical ? "true" : "false",
           ci + 1 < cases.size() ? "," : "");
       run.manifest().set(std::string(pc.name) + "_speedup",
-                         fused_ms / plan_ms);
+                         eager_ms / plan_ms);
     }
   }
   // ---- implicit-GEMM convolution -------------------------------------------
-  // Eager fused conv2d_forward with pack_B gathering patches straight from
-  // the NCHW image (the default) versus the staged im2col + gemm path
-  // (ADVP_IM2COL=staged), both warm and single-threaded with their own
-  // weight-cache slot, on every precision tier. Shapes where the column
-  // matrix dominates traffic (small Cin*K*K against wide N).
+  // Eager conv2d_forward (bias-only epilogue) with pack_B gathering
+  // patches straight from the NCHW image (the default) versus the staged
+  // per-item im2col + gemm path (ADVP_IM2COL=staged), both warm and
+  // single-threaded with their own weight-cache slot, on every precision
+  // tier. Shapes where the column matrix dominates traffic (small Cin*K*K
+  // against wide N).
   // `conv_implicit_speedup` (staged_ms / implicit_ms) is the CI gate
   // (>= 1.15); `identical` asserts the gather order preserves the exact
   // FMA sequence, so the two paths agree bit-for-bit.
@@ -494,7 +500,6 @@ int main() {
         GemmCacheSlot slot;
         ConvFusion fusion;
         fusion.weight_cache = &slot;
-        fusion.act = Act::kReluLeaky;
         fusion.precision = cc.prec;
         if (cc.prec == GemmPrecision::kInt8) fusion.act_scale = act_scale;
         gemm_detail::force_im2col(mode);

@@ -20,8 +20,9 @@ inline thread_local int g_inference_depth = 0;
 }  // namespace detail
 
 /// RAII marker for forward-only inference: while a scope is active on the
-/// calling thread, layers skip their backward caches and Sequential takes
-/// the fused Conv+BN+activation fast path. Entered by the models'
+/// calling thread, layers skip their backward caches, calibrated layers
+/// may run a reduced-precision tier, and the models' forward entry points
+/// serve eval forwards from a compiled nn::ExecPlan. Entered by those
 /// forward-only entry points (TinyYolo::detect / objectness_score,
 /// DistNet::predict) — never around forwards that a backward may follow
 /// (white-box attack oracles backward through eval-mode forwards, so a

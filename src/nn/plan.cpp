@@ -4,12 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "core/check.h"
 #include "core/obs.h"
-#include "core/parallel.h"
 #include "core/scratch.h"
 #include "nn/precision.h"
 #include "tensor/ops.h"
@@ -19,23 +17,13 @@ namespace advp::nn {
 namespace plan_detail {
 
 namespace {
-// ADVP_PLAN kill-switch with the usual test-hook override (same pattern
-// as the pack cache's ADVP_PACK_CACHE control).
 std::atomic<int> g_force_plan{-1};
-
-bool env_on(const char* name) {
-  const char* e = std::getenv(name);
-  return !(e && e[0] == '0' && e[1] == '\0');
-}
 }  // namespace
 
 void force_plan(int mode) { g_force_plan.store(mode, std::memory_order_relaxed); }
 
 bool plan_enabled() {
-  const int f = g_force_plan.load(std::memory_order_relaxed);
-  if (f >= 0) return f != 0;
-  static const bool on = env_on("ADVP_PLAN");
-  return on;
+  return g_force_plan.load(std::memory_order_relaxed) != 0;
 }
 
 }  // namespace plan_detail
@@ -134,19 +122,16 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
   if (in_shape.empty() || in_shape[0] <= 0) return false;
   std::vector<int> shape = in_shape;
 
-  // Pass 1+2: shape inference and fusion in one walk. The grouping below
-  // mirrors Sequential::forward_fused exactly — Conv2d [+BatchNorm2d]
-  // [+ReLU|SiLU], Linear [+ReLU] — resolved here once instead of with
-  // dynamic_cast chains on every forward.
+  // Pass 1+2: shape inference and fusion in one walk: Conv2d
+  // [+BatchNorm2d] [+ReLU|SiLU] and Linear [+ReLU] runs become one op each.
   const std::size_t count = layers.size();
   for (std::size_t i = 0; i < count; ++i) {
     Module* mod = layers[i];
     if (auto* conv = dynamic_cast<Conv2d*>(mod)) {
       if (shape.size() != 4 || shape[1] != conv->spec().in_channels)
         return false;
-      // Per-item conv GEMMs need a fixed activation scale to match the
-      // grouped eager GEMM at int8: an uncalibrated layer would quantize
-      // with a per-item dynamic absmax and drift from the oracle.
+      // An uncalibrated layer has no int8 activation scale (the eager
+      // walk runs it fp32), so an int8 plan refuses the model.
       if (tier == GemmPrecision::kInt8 && conv->calibration_range() <= 0.f)
         return false;
       PlanOp op;
@@ -302,7 +287,7 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
       im.ops.push_back(std::move(op));
       continue;
     }
-    return false;  // unsupported layer: caller falls back to forward_fused
+    return false;  // unsupported layer: caller falls back to the eager walk
   }
   if (im.ops.empty()) return false;
 
@@ -355,20 +340,13 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
 void ExecPlan::Impl::run_conv(const PlanOp& op, const float* src,
                               float* dst) {
   Conv2d* conv = op.conv;
-  const Conv2dSpec& s = conv->spec();
-  const int patch = op.c * s.kernel * s.kernel;
-  const int pixels = op.oh * op.ow;
-  const std::size_t x_stride = static_cast<std::size_t>(op.c) * op.h * op.w;
-  const std::size_t y_stride = static_cast<std::size_t>(op.oc) * pixels;
-  ADVP_OBS_COUNT(kConv2dFlops, 2ull * op.n * y_stride * patch);
-
   GemmEpilogue epi;
   epi.bias = conv->bias().value.data();
   if (op.bn) {
     // inv_std refreshed with the exact expression BatchNorm2d::forward
-    // (and Conv2d::forward_inference) uses — train-mode BN updates the
-    // running stats without a generation bump, so the fold must read
-    // them per execute, not bake them in at compile.
+    // uses — train-mode BN updates the running stats without a generation
+    // bump, so the fold must read them per execute, not bake them in at
+    // compile.
     const Tensor& var = op.bn->running_var();
     float* is = const_cast<float*>(op.bn_inv_std.data());
     for (int cc = 0; cc < op.oc; ++cc)
@@ -386,63 +364,9 @@ void ExecPlan::Impl::run_conv(const PlanOp& op, const float* src,
   extra.a_cache = &conv->forward_pack_slot();
   extra.epilogue = &epi;
   extra.precision = prec;
-  const float range = conv->calibration_range();
-  extra.act_scale = range > 0.f ? range / 127.f : 0.f;
-
-  // One GEMM per batch item, written straight into the scheduled output
-  // (epilogue applied) — no staging buffer, no scatter copy. Item columns
-  // are disjoint and every element keeps its ascending-k FMA chain, so
-  // this is bit-identical to the eager path's wide grouped GEMM. On the
-  // implicit-im2col path the GEMM packer gathers patch elements straight
-  // from the scheduled input buffer, so the per-item column matrix (the
-  // plan's largest scratch ask) is never materialized; ADVP_IM2COL=staged
-  // restores the lowering below as kill-switch and bit-identity oracle.
-  // (Plan-compiled int8 convs always carry a calibrated act_scale, so the
-  // eager path's dynamic-absmax grouping caveat cannot arise here.)
-  const bool implicit = implicit_im2col_enabled();
-  PackSource ps;
-  ps.item_stride = x_stride;
-  ps.items = 1;
-  ps.c_in = op.c;
-  ps.h = op.h;
-  ps.w = op.w;
-  ps.kernel = s.kernel;
-  ps.stride = s.stride;
-  ps.pad = s.pad;
-  ps.out_h = op.oh;
-  ps.out_w = op.ow;
-  auto run_item = [&](std::size_t i) {
-    if (implicit) {
-      PackSource item_ps = ps;
-      item_ps.base = src + i * x_stride;
-      GemmExtra item_extra = extra;
-      item_extra.b_pack = &item_ps;
-      gemm(op.oc, pixels, patch, conv->weight().value.data(), patch,
-           /*trans_a=*/false, /*b=*/nullptr, pixels, /*trans_b=*/false,
-           dst + i * y_stride, pixels, /*accumulate=*/false, item_extra);
-      return;
-    }
-    ScratchArena& arena = ScratchArena::local();
-    ScratchArena::Frame frame(arena);
-    float* cols =
-        arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-    im2col_lower(src + i * x_stride, op.c, op.h, op.w, s, cols, pixels);
-    gemm(op.oc, pixels, patch, conv->weight().value.data(), patch,
-         /*trans_a=*/false, cols, pixels, /*trans_b=*/false,
-         dst + i * y_stride, pixels, /*accumulate=*/false, extra);
-  };
-  // Item 0 runs first on the calling thread so a cold pack slot is filled
-  // exactly once before any fan-out (slots are not safe to fill
-  // concurrently); the remaining items then share the pool, each GEMM
-  // serial inside the region.
-  run_item(0);
-  if (op.n > 1) {
-    if (max_workers() > 1 && !in_parallel_region())
-      parallel_for(1, static_cast<std::size_t>(op.n), run_item);
-    else
-      for (std::size_t i = 1; i < static_cast<std::size_t>(op.n); ++i)
-        run_item(i);
-  }
+  extra.act_scale = conv->calibration_range() / 127.f;
+  conv2d_forward_items(src, op.n, op.h, op.w, conv->weight().value.data(),
+                       conv->spec(), extra, dst);
 }
 
 void ExecPlan::Impl::run_linear(const PlanOp& op, const float* src,
@@ -458,8 +382,7 @@ void ExecPlan::Impl::run_linear(const PlanOp& op, const float* src,
   extra.epilogue = &epi;
   extra.precision = prec;
   extra.weights_in_a = false;
-  const float range = lin->calibration_range();
-  extra.act_scale = range > 0.f ? range / 127.f : 0.f;
+  extra.act_scale = lin->calibration_range() / 127.f;
   gemm(op.n, op.oc, op.c, src, op.c, /*trans_a=*/false,
        lin->weight().value.data(), op.c, /*trans_b=*/true, dst, op.oc,
        /*accumulate=*/false, extra);

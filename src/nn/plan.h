@@ -1,16 +1,16 @@
 // Execution-plan compiler: compile a layer list once, execute many times.
 //
-// `Sequential::forward_fused` re-discovers the Conv[+BN][+act] fusion
-// structure with dynamic_cast chains on every call, allocates (and
-// zero-fills) a fresh intermediate Tensor per layer. ExecPlan moves both to
-// compile time. Compiling a model for one (input shape, precision
-// tier) runs three passes:
+// ExecPlan is the one fused inference path. The eager child-by-child walk
+// (Sequential::forward) allocates (and zero-fills) a fresh intermediate
+// Tensor per layer and runs bias, BatchNorm and activation as separate
+// sweeps; ExecPlan moves that work to compile time. Compiling a model for
+// one (input shape, precision tier) runs three passes:
 //
 //  1. Shape inference over the layer list — every intermediate's geometry
 //     is known before the first real forward.
-//  2. Fusion — the Conv2d[+BatchNorm2d][+ReLU|SiLU] and Linear[+ReLU]
-//     grouping forward_fused pattern-matches per call is resolved once
-//     into a flat op list; eval-BN folds into the conv GEMM epilogue.
+//  2. Fusion — Conv2d[+BatchNorm2d][+ReLU|SiLU] and Linear[+ReLU] runs are
+//     resolved once into a flat op list; eval-BN and the activation fold
+//     into the GEMM epilogue.
 //  3. Buffer schedule — the op chain is single-input/single-output, so
 //     liveness analysis degenerates to two ping-pong arena slots (plus
 //     the plan-owned output tensor), pre-allocated at compile time.
@@ -19,22 +19,17 @@
 //     asserted through the plan_steady_allocs obs counter, not by eye.
 //
 // Every planned GEMM runs the kernel's build-constant Mc/Kc/Nc blocking.
-// Execution is bit-identical to forward_fused (which stays as the
-// fallback for unsupported layers and as the bit-identity oracle in
-// tests), which is itself bit-identical to the eager child-by-child walk.
-// Per-item conv GEMMs write straight into the scheduled output buffer
-// (fused epilogue applied), skipping forward_fused's wide-GEMM scatter
-// copy; items fan out across the worker pool with each item's GEMM
-// running serially inside the region, so any worker count produces the
-// same bits.
+// Execution is bit-identical to the eager walk under an
+// InferenceModeScope at the same tier, which stays as the fallback for
+// unsupported layers and uncalibrated int8 models and as the bit-identity
+// oracle in tests: the fused epilogue performs the same float ops, in the
+// same order, as the separate layer passes, and convs run the same
+// per-item GEMM loop (conv2d_forward_items) as the eager conv.
 //
 // Invalidation mirrors GemmCacheSlot: a plan records the weight
 // generation at compile time and PlanCache recompiles after any optimizer
 // step, parameter load, or `.advp` adoption. Precision changes select a
 // different cache entry outright, since the tier is part of the plan key.
-//
-// ADVP_PLAN=0 is the kill-switch: PlanCache hands out no plans and every
-// forward takes the uncompiled path.
 #pragma once
 
 #include <memory>
@@ -46,8 +41,8 @@
 namespace advp::nn {
 
 namespace plan_detail {
-/// @brief Test/bench hook overriding the ADVP_PLAN environment default:
-/// 0 forces plans off, 1 forces them on, -1 restores the env.
+/// @brief Test/bench hook: 0 turns plans off so every forward takes the
+/// eager walk (the plan's oracle); 1 or -1 restores the default (on).
 void force_plan(int mode);
 /// @brief True when PlanCache may hand out compiled plans.
 bool plan_enabled();
@@ -70,7 +65,8 @@ class ExecPlan {
   /// (so steady-state calls hit warm pack slots and a warm arena).
   /// @param label Model name recorded in obs plan records.
   /// @return false — leaving the plan invalid — when a layer kind or
-  ///   shape is unsupported; callers fall back to the uncompiled walk.
+  ///   shape is unsupported, or when `tier` is int8 and a Conv2d/Linear
+  ///   has no calibration range; callers fall back to the eager walk.
   bool compile(const std::vector<Module*>& layers,
                const std::vector<int>& in_shape, GemmPrecision tier,
                const std::string& label = "model");
@@ -108,7 +104,7 @@ class PlanCache {
   explicit PlanCache(std::string label = "model") : label_(std::move(label)) {}
 
   /// @brief An executable plan for (layers, x.shape(), the active tier),
-  /// or nullptr when planning is disabled (ADVP_PLAN=0 / force_plan(0)),
+  /// or nullptr when planning is disabled (force_plan(0)),
   /// the calling context is not a backward-free inference forward (no
   /// InferenceModeScope, or a CalibrationScope is active), or the model
   /// failed to compile. Compiles or recompiles as needed.

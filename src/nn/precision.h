@@ -16,13 +16,16 @@
 //    a process-global scope entered from two workers at once would leak
 //    one tenant's tier into another's forward.
 //  - CalibrationScope + calibrate(): a calibration pass runs clean batches
-//    through the network under InferenceModeScope while a (thread-local)
-//    CalibrationScope is active; Conv2d/Linear record their input
-//    activation range (absmax, or a percentile of |x| when
+//    through the network's eager walk under InferenceModeScope while a
+//    (thread-local) CalibrationScope is active; Conv2d/Linear record their
+//    input activation range (absmax, or a percentile of |x| when
 //    CalibrationOptions::percentile < 1). The recorded range becomes the
 //    int8 per-tensor activation scale (range / 127). Forwards under a
 //    CalibrationScope always run fp32 — ranges describe the full-precision
 //    activation distribution.
+//  - int8 requires calibration: a Conv2d/Linear without a recorded range
+//    runs fp32 at every tier, so no int8 result ever depends on the other
+//    frames in its batch.
 //  - Gradient safety: layers resolve a non-fp32 tier only on
 //    backward-free paths (eval forward under an InferenceModeScope, which
 //    already skips backward caches) — so a scoped low-precision forward
@@ -113,28 +116,28 @@ bool parse_precision(const char* name, GemmPrecision* out);
 /// selection, no sampling).
 float calibration_range(const float* data, std::size_t n);
 
-/// @brief Runs `batches` through `net` (eval mode, fp32, forward-only)
-/// recording activation ranges on every Conv2d/Linear, then invalidates
-/// all packed-weight cache slots so nothing quantized under the previous
-/// ranges survives. Previously recorded ranges are reset first — each
-/// calibrate() call describes exactly its own batches (ranges max-merge
-/// within a pass, never across passes). Serial by design: ranges are
-/// order-independent (max-merge), but the forwards reuse the net's single
-/// backward-free fast path.
+/// @brief Runs `batches` through `net`'s eager walk (eval mode, fp32,
+/// forward-only) recording activation ranges on every Conv2d/Linear, then
+/// invalidates all packed-weight cache slots so nothing quantized under
+/// the previous ranges survives. Previously recorded ranges are reset
+/// first — each calibrate() call describes exactly its own batches (ranges
+/// max-merge within a pass, never across passes). The eager fp32 walk is
+/// bit-identical to the compiled plan, so the ranges are the activations
+/// a plan forward sees. Batches run serially; ranges are order-independent
+/// (max-merge).
 /// @throws advp::Error if a batch's shape does not fit the network.
 void calibrate(Sequential& net, const std::vector<Tensor>& batches,
                const CalibrationOptions& opts = {});
 
 /// @brief Clears recorded calibration ranges (recursing through
-/// Sequential). Layers fall back to dynamic per-call absmax activation
-/// scales until recalibrated.
+/// Sequential). The cleared layers run fp32 at every tier until
+/// recalibrated.
 void reset_calibration(Module& m);
 
 /// @brief True when every Conv2d/Linear reachable from `m` (recursing
 /// through Sequential) carries a recorded calibration range. The serving
-/// registry requires this of int8 tenants: a dynamic (per-call absmax)
-/// activation scale would make a batched forward's int8 results depend on
-/// the other frames in the batch, breaking batched-vs-serial bit-identity.
+/// registry requires this of int8 tenants: an uncalibrated layer would
+/// silently run fp32, and an int8 tenant must run int8.
 bool has_calibration(Module& m);
 
 /// @brief Copies recorded calibration ranges from `src` onto the

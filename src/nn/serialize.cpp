@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -719,6 +720,16 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
   if (cal && cal->bytes != layers.size() * sizeof(float))
     return fail(AdvpStatus::kModelMismatch,
                 "calibration section covers a different layer count");
+  // Ranges are not covered by the content hash, and each one sets an int8
+  // activation scale: only finite, non-negative values (0 = uncalibrated)
+  // are adopted.
+  std::vector<float> ranges(cal ? layers.size() : 0);
+  if (cal) std::memcpy(ranges.data(), base + cal->offset, cal->bytes);
+  for (std::size_t l = 0; l < ranges.size(); ++l)
+    if (!std::isfinite(ranges[l]) || ranges[l] < 0.f)
+      return fail(AdvpStatus::kMalformed,
+                  "calibration range " + std::to_string(l) +
+                      " is negative or not finite");
 
   if (opts.verify_hash && hash_payloads(pf) != pf.header.content_hash)
     return fail(AdvpStatus::kHashMismatch,
@@ -729,13 +740,7 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
     std::memcpy(params[i]->value.data(), base + pf.params[i].data_off,
                 static_cast<std::size_t>(pf.params[i].numel) * sizeof(float));
   bump_weight_generation();
-  if (cal)
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      float range = 0.f;
-      std::memcpy(&range, base + cal->offset + l * sizeof(float),
-                  sizeof(float));
-      layers[l].set_range(range);
-    }
+  for (std::size_t l = 0; l < ranges.size(); ++l) layers[l].set_range(ranges[l]);
 
   // Packed-panel adoption: only when the file carries panels, the build's
   // panel geometry matches the writer's, and the pack cache is live. A

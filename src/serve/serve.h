@@ -18,8 +18,8 @@
 //    Tenants never share layer state, so one tenant's calibration or tier
 //    cannot leak into another's results, and each tenant's GemmCacheSlot
 //    pack cache stays warm across requests. int8 tenants must be
-//    calibrated before registration: a dynamic activation scale would
-//    make batched int8 results depend on batch composition.
+//    calibrated before registration: an uncalibrated layer runs fp32, so
+//    the tenant would not run the tier it was registered at.
 //
 //  - BatchServer: the router. Per-tenant FIFO queues, a shared pool of
 //    worker threads, and a batching policy: a tenant's batch fires when

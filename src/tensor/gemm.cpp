@@ -568,13 +568,12 @@ void micro_edge(MicroFn micro, int kc, const float* ap, const float* bp,
 //
 // Weights are quantized symmetrically per output channel at pack time (the
 // scales live next to the packed panels in the cache slot); the activation
-// operand is quantized per tensor with a calibrated scale, or a dynamic
-// absmax computed serially before any fan-out. Panels interleave k in
-// quads of bytes, with the activation operand's bytes biased by +128 into
-// the unsigned range at pack time: the AVX-512 kernel then runs the VNNI
-// byte dot product (vpdpbusd — four u8*s8 MACs per lane per instruction,
-// 4x the per-instruction MAC rate of fp32 FMA; the four int16
-// intermediates are exact since |u*s| <= 255*127 < 2^15). The +128 bias
+// operand is quantized per tensor with a calibrated scale. Panels
+// interleave k in quads of bytes, with the activation operand's bytes
+// biased by +128 into the unsigned range at pack time: the AVX-512 kernel
+// then runs the VNNI byte dot product (vpdpbusd — four u8*s8 MACs per lane
+// per instruction, 4x the per-instruction MAC rate of fp32 FMA; the four
+// int16 intermediates are exact since |u*s| <= 255*127 < 2^15). The +128 bias
 // is removed after the k loop by subtracting a per-output-channel
 // compensation term 128 * sum_k(w_q), computed once when the weights are
 // quantized and cached next to their scales. |biased acc| <= 255*127*k,
@@ -615,26 +614,6 @@ void quantize_run(const float* src, std::size_t count, float inv,
   }
 #endif
   for (; i < count; ++i) dst[i] = quantize8(src[i], inv);
-}
-
-float absmax_a(const float* a, int lda, bool trans_a, int m, int k) {
-  float amax = 0.f;
-  for (int i = 0; i < m; ++i)
-    for (int kk = 0; kk < k; ++kk) {
-      const float v = std::fabs(a_at(a, lda, trans_a, i, kk));
-      if (v > amax) amax = v;
-    }
-  return amax;
-}
-
-float absmax_b(const float* b, int ldb, bool trans_b, int k, int n) {
-  float amax = 0.f;
-  for (int kk = 0; kk < k; ++kk)
-    for (int j = 0; j < n; ++j) {
-      const float v = std::fabs(b_at(b, ldb, trans_b, kk, j));
-      if (v > amax) amax = v;
-    }
-  return amax;
 }
 
 // Per-row (op(A)) / per-column (op(B)) symmetric scales: absmax / 127.
@@ -929,30 +908,6 @@ void pack_b_int8_implicit(const PackSource& ps, int k, int j0, int nw,
                  static_cast<std::uint64_t>(kpad) * round_up(nw, kNr));
 }
 
-// Dynamic activation absmax over the implicit op(B): the max runs over
-// the exact element multiset im2col_lower would have staged, and max is
-// order-independent, so the dynamic scale — and therefore every output
-// bit — matches the staged path.
-float absmax_implicit(const PackSource& ps, int k) {
-  const int n = ps.items * ps.out_h * ps.out_w;
-  float amax = 0.f;
-  float tmp[256];
-  PatchTap t = patch_tap(ps, 0);
-  for (int p = 0; p < k; ++p, next_tap(ps, t)) {
-    ColCursor cur{0, 0, 0};
-    for (int j = 0; j < n; j += 256) {
-      const int run = std::min(256, n - j);
-      gather_row(ps, t, cur, run, tmp);
-      for (int i = 0; i < run; ++i) {
-        const float v = std::fabs(tmp[i]);
-        if (v > amax) amax = v;
-      }
-      advance(ps, cur, run);
-    }
-  }
-  return amax;
-}
-
 // int8 micro-kernels: full-k accumulation of a kMr x kNr tile of the
 // *biased* integer sum (the activation operand's bytes carry +128) into an
 // int32 scratch tile; the caller subtracts the per-channel compensation
@@ -1058,19 +1013,11 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
   ScratchArena& main_arena = ScratchArena::local();
   ScratchArena::Frame top(main_arena);
 
-  // Activation per-tensor scale: calibrated, or dynamic absmax over the
-  // whole logical operand — computed serially before any fan-out so the
-  // scale (and thus every output bit) is independent of worker count and
-  // stripe geometry.
-  float act_scale = extra.act_scale;
-  if (act_scale <= 0.f) {
-    const float amax = wa ? (extra.b_pack
-                                 ? absmax_implicit(*extra.b_pack, k)
-                                 : absmax_b(b, ldb, trans_b, k, n))
-                          : absmax_a(a, lda, trans_a, m, k);
-    act_scale = amax / 127.f;
-  }
-  const float act_inv = act_scale > 0.f ? 1.f / act_scale : 0.f;
+  // Activation per-tensor scale: a calibration constant (checked > 0 in
+  // gemm()), so every output bit is independent of worker count, stripe
+  // geometry, and the other items in a batch.
+  const float act_scale = extra.act_scale;
+  const float act_inv = 1.f / act_scale;
 
   // Only the weight operand uses its cache slot (activations change every
   // call); the slot stores the quantized panels plus the per-channel
@@ -1314,6 +1261,8 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
   }
   if (extra.precision == GemmPrecision::kInt8) {
     ADVP_CHECK_MSG(!accumulate, "gemm: int8 requires accumulate=false");
+    ADVP_CHECK_MSG(extra.act_scale > 0.f,
+                   "gemm: int8 requires a calibrated act_scale > 0");
     gemm_int8(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, extra);
     return;
   }

@@ -41,8 +41,8 @@
 // Reduced-precision inference tier (opt-in per call via GemmExtra):
 //  - kInt8: the weight operand (the one whose GemmCacheSlot the caller
 //    provides; see GemmExtra::weights_in_a) is quantized symmetrically per
-//    output channel at pack time, the activation operand per tensor (scale
-//    from a calibration pass, or dynamic absmax when act_scale <= 0).
+//    output channel at pack time, the activation operand per tensor with
+//    the scale a calibration pass recorded (act_scale > 0 is required).
 //    Accumulation is exact int32 over the full k range; dequantization
 //    (acc * w_scale[channel] * act_scale) happens at C write-back, followed
 //    by the ordinary fused epilogue. Integer accumulation is associative,
@@ -70,8 +70,8 @@ enum class Act : int {
 
 /// Optional fused epilogue: applied to every C element exactly once, after
 /// its full k-accumulation, in the order bias -> batch-norm fold ->
-/// activation (mirroring the unfused conv-scatter + BatchNorm2d + act
-/// layer sequence bit-for-bit). Incompatible with accumulate=true.
+/// activation (mirroring the separate bias add + BatchNorm2d + activation
+/// layer passes bit-for-bit). Incompatible with accumulate=true.
 struct GemmEpilogue {
   const float* bias = nullptr;  ///< length m (per row) or n (bias_per_col)
   bool bias_per_col = false;
@@ -147,7 +147,7 @@ struct GemmCacheSlot {
 /// Implicit-im2col descriptor: the conv geometry gemm() needs to gather
 /// op(B) patch elements straight out of NCHW image storage while packing
 /// B panels, instead of reading a dense [k x n] column matrix a caller
-/// staged with im2col_lower. Element (kk, j) of op(B) decomposes exactly
+/// staged with the im2col lowering. Element (kk, j) of op(B) decomposes exactly
 /// like the staged lowering: kk -> (c, ky, kx) within the patch, j ->
 /// (item, oy, ox) within the batch of output pixels, value = x[item][c]
 /// [oy*stride + ky - pad][ox*stride + kx - pad] (zero outside the image).
@@ -178,10 +178,10 @@ struct GemmExtra {
   /// quantization runs over op(A) rows when true, op(B) columns when
   /// false). The other operand is the activation, quantized per tensor.
   bool weights_in_a = true;
-  /// kInt8 only: per-tensor activation quantization scale (absmax / 127
-  /// from a calibration pass). <= 0 means "dynamic": gemm() computes the
-  /// activation absmax serially before any fan-out, so the scale — and the
-  /// result — is independent of worker count and stripe geometry.
+  /// kInt8 only: per-tensor activation quantization scale (range / 127
+  /// from a calibration pass). Must be > 0 at kInt8 (gemm() throws
+  /// otherwise); a fixed scale keeps every output bit independent of
+  /// worker count, stripe geometry, and the rest of the batch.
   float act_scale = 0.f;
   /// Implicit-im2col source for op(B) (see PackSource). When set, `b` is
   /// ignored (pass nullptr) and the pack step gathers patch elements
@@ -222,12 +222,12 @@ void bump_weight_generation();
 /// pack-every-call behaviour) or when the test hook forces it off.
 bool pack_cache_enabled();
 
-/// @brief True when conv forwards should hand gemm() a PackSource instead
-/// of staging the column matrix with im2col_lower first. Off when the
-/// process started with ADVP_IM2COL=staged (or =0) — the kill-switch that
-/// restores the materialized-cols path — or when the test hook forces it
-/// off. The backward pass always stages regardless (gradients never ride
-/// the implicit path).
+/// @brief True when conv forwards (conv2d_forward_items) should hand
+/// gemm() a PackSource instead of staging each item's column matrix
+/// first. Off when the process started with ADVP_IM2COL=staged (or =0) —
+/// the kill-switch that restores the materialized-cols path — or when the
+/// test hook forces it off. The backward pass always stages regardless
+/// (gradients never ride the implicit path).
 bool implicit_im2col_enabled();
 
 // ---- packed-weight export / adoption (.advp model format) ------------------

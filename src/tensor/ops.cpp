@@ -32,17 +32,11 @@ Tensor transpose(const Tensor& a) {
 
 namespace {
 
-// Largest im2col staging buffer the batched forward GEMM will ask the
-// arena for (floats). Batches larger than this are processed in groups.
-constexpr std::size_t kColsBudgetFloats = std::size_t{4} << 20;  // 16 MiB
-
-}  // namespace
-
 // Lowers x [Cin,H,W] to columns: row p of the [Cin*K*K, Ho*Wo] column
-// matrix lands at cols[p*cols_ld ...]. `cols_ld` lets several batch items
-// share one wide matrix (each item owns a disjoint Ho*Wo column block).
+// matrix lands at cols[p*Ho*Wo ...]. Used by the backward pass and by the
+// staged forward (ADVP_IM2COL=staged), the implicit packer's oracle.
 void im2col_lower(const float* x, int c_in, int h, int w,
-                  const Conv2dSpec& s, float* cols, std::size_t cols_ld) {
+                  const Conv2dSpec& s, float* cols) {
   const int ho = s.out_h(h), wo = s.out_w(w);
   const int patch = c_in * s.kernel * s.kernel;
   // Staged-lowering traffic. The implicit-GEMM conv path never runs this
@@ -53,7 +47,7 @@ void im2col_lower(const float* x, int c_in, int h, int w,
     const int c = p / (s.kernel * s.kernel);
     const int ky = (p / s.kernel) % s.kernel;
     const int kx = p % s.kernel;
-    float* out_row = cols + static_cast<std::size_t>(p) * cols_ld;
+    float* out_row = cols + static_cast<std::size_t>(p) * ho * wo;
     for (int oy = 0; oy < ho; ++oy) {
       const int iy = oy * s.stride + ky - s.pad;
       for (int ox = 0; ox < wo; ++ox) {
@@ -66,8 +60,6 @@ void im2col_lower(const float* x, int c_in, int h, int w,
     }
   }
 }
-
-namespace {
 
 // Scatters columns [Cin*K*K, Ho*Wo] back into dx [Cin,H,W] (accumulating).
 void col2im(const float* cols, int c_in, int h, int w, const Conv2dSpec& s,
@@ -94,6 +86,57 @@ void col2im(const float* cols, int c_in, int h, int w, const Conv2dSpec& s,
 
 }  // namespace
 
+void conv2d_forward_items(const float* x, int n, int h, int w,
+                          const float* weights, const Conv2dSpec& spec,
+                          const GemmExtra& extra, float* y) {
+  if (n <= 0) return;
+  const int c_in = spec.in_channels;
+  const int patch = c_in * spec.kernel * spec.kernel;
+  const int pixels = spec.out_h(h) * spec.out_w(w);
+  const std::size_t x_stride = static_cast<std::size_t>(c_in) * h * w;
+  const std::size_t y_stride =
+      static_cast<std::size_t>(spec.out_channels) * pixels;
+  // One MAC per (item, out-channel, patch entry, output pixel); the GEMMs
+  // below also land in matmul_flops (documented overlap).
+  ADVP_OBS_COUNT(kConv2dFlops, 2ull * n * y_stride * patch);
+
+  // Item columns are disjoint and every element keeps its ascending-k FMA
+  // chain, so per-item GEMMs give the same bits as any grouping. The
+  // implicit packer gathers the same element multiset, in the same panel
+  // order, as the staged lowering.
+  const bool implicit = implicit_im2col_enabled();
+  auto run_item = [&](std::size_t i) {
+    const float* xi = x + i * x_stride;
+    float* yi = y + i * y_stride;
+    if (implicit) {
+      const PackSource ps{xi,          x_stride,    /*items=*/1,
+                          c_in,        h,           w,
+                          spec.kernel, spec.stride, spec.pad,
+                          spec.out_h(h), spec.out_w(w)};
+      GemmExtra item_extra = extra;
+      item_extra.b_pack = &ps;
+      gemm(spec.out_channels, pixels, patch, weights, patch,
+           /*trans_a=*/false, /*b=*/nullptr, pixels, /*trans_b=*/false, yi,
+           pixels, /*accumulate=*/false, item_extra);
+      return;
+    }
+    ScratchArena& arena = ScratchArena::local();
+    ScratchArena::Frame frame(arena);
+    float* cols =
+        arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
+    im2col_lower(xi, c_in, h, w, spec, cols);
+    gemm(spec.out_channels, pixels, patch, weights, patch, /*trans_a=*/false,
+         cols, pixels, /*trans_b=*/false, yi, pixels, /*accumulate=*/false,
+         extra);
+  };
+  run_item(0);
+  if (n > 1 && max_workers() > 1 && !in_parallel_region())
+    parallel_for(1, static_cast<std::size_t>(n), run_item);
+  else
+    for (std::size_t i = 1; i < static_cast<std::size_t>(n); ++i)
+      run_item(i);
+}
+
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       const Conv2dSpec& spec, const ConvFusion* fusion) {
   ADVP_CHECK_MSG(x.rank() == 4, "conv2d: input must be NCHW");
@@ -105,144 +148,21 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   ADVP_CHECK(b.rank() == 1 && b.dim(0) == spec.out_channels);
   const int ho = spec.out_h(h), wo = spec.out_w(wd);
   ADVP_CHECK_MSG(ho > 0 && wo > 0, "conv2d: output collapses to zero size");
-
-  const int patch = c_in * spec.kernel * spec.kernel;
-  const int pixels = ho * wo;
   Tensor y({n, spec.out_channels, ho, wo});
 
-  const std::size_t x_stride = static_cast<std::size_t>(c_in) * h * wd;
-  const std::size_t y_stride =
-      static_cast<std::size_t>(spec.out_channels) * pixels;
-  // One MAC per (item, out-channel, patch entry, output pixel); the im2col
-  // GEMMs below also land in matmul_flops (documented overlap).
-  ADVP_OBS_COUNT(kConv2dFlops, 2ull * n * y_stride * patch);
-
-  // With fusion: bias (and optional BN fold + activation) move into the
-  // GEMM epilogue, the weight packing is served from the caller's cache
-  // slot, and the single-item case writes the GEMM output (epilogue
-  // applied) directly into y — skipping the staging buffer and the
-  // scatter pass entirely. All variants are bit-identical: the epilogue
-  // performs the same float ops, in the same order, as the separate
-  // bias-scatter + BatchNorm2d + activation passes.
+  // The bias add is the GEMM epilogue: the same float add, applied once
+  // after each element's full k-accumulation. The weight tensor is
+  // already the [Cout, patch] GEMM operand in row-major order.
   GemmEpilogue epi;
+  epi.bias = b.data();  // rows of the conv GEMM are out-channels
   GemmExtra extra;
+  extra.epilogue = &epi;
   if (fusion) {
-    epi.bias = b.data();  // rows of the conv GEMM are out-channels
-    epi.bn_mean = fusion->bn_mean;
-    epi.bn_inv_std = fusion->bn_inv_std;
-    epi.bn_gamma = fusion->bn_gamma;
-    epi.bn_beta = fusion->bn_beta;
-    epi.act = fusion->act;
-    epi.slope = fusion->act_slope;
     extra.a_cache = fusion->weight_cache;
-    extra.epilogue = &epi;
     extra.precision = fusion->precision;  // weights_in_a: conv W is op(A)
     extra.act_scale = fusion->act_scale;
   }
-
-  // Implicit-GEMM route (fusion only): each item's GEMM gathers patch
-  // elements straight from x inside the panel packer and writes through
-  // the fused epilogue directly into y — no column matrix, no staging
-  // buffer, no scatter pass. Bit-identical to the staged route below by
-  // the pack contract (same element multiset, same panel order, same
-  // k-accumulation). int8 with a *dynamic* activation scale stays staged
-  // when n > 1: the staged group computes one absmax across all items'
-  // columns, and a per-item GEMM would (validly but differently) rescale.
-  const bool implicit =
-      fusion && implicit_im2col_enabled() &&
-      (fusion->precision != GemmPrecision::kInt8 ||
-       fusion->act_scale > 0.f || n == 1);
-  if (implicit) {
-    PackSource ps;
-    ps.item_stride = x_stride;
-    ps.items = 1;
-    ps.c_in = c_in;
-    ps.h = h;
-    ps.w = wd;
-    ps.kernel = spec.kernel;
-    ps.stride = spec.stride;
-    ps.pad = spec.pad;
-    ps.out_h = ho;
-    ps.out_w = wo;
-    auto run_item = [&](std::size_t i) {
-      PackSource item_ps = ps;
-      item_ps.base = x.data() + i * x_stride;
-      GemmExtra item_extra = extra;
-      item_extra.b_pack = &item_ps;
-      gemm(spec.out_channels, pixels, patch, w.data(), patch,
-           /*trans_a=*/false, /*b=*/nullptr, pixels, /*trans_b=*/false,
-           y.data() + i * y_stride, pixels, /*accumulate=*/false,
-           item_extra);
-    };
-    // Item 0 runs serially so the shared weight-cache slot warms exactly
-    // once; the remaining items' slot lookups are pure reads and fan out.
-    run_item(0);
-    if (n > 1 && max_workers() > 1 && !in_parallel_region())
-      parallel_for(1, static_cast<std::size_t>(n), run_item);
-    else
-      for (std::size_t i = 1; i < static_cast<std::size_t>(n); ++i)
-        run_item(i);
-    return y;
-  }
-
-  // The whole batch (in arena-budget groups) is lowered into one wide
-  // column matrix [patch, group*Ho*Wo] and multiplied in a single GEMM:
-  // item columns are disjoint and each output element's k-accumulation is
-  // unchanged, so results are bit-identical to a per-item loop while the
-  // kernel sees one large, well-blocked product. The weight tensor is
-  // already the [Cout, patch] GEMM operand in row-major order.
-  const std::size_t group = std::clamp<std::size_t>(
-      kColsBudgetFloats / (static_cast<std::size_t>(patch) * pixels),
-      std::size_t{1}, static_cast<std::size_t>(n));
-  ScratchArena& arena = ScratchArena::local();
-  for (std::size_t n0 = 0; n0 < static_cast<std::size_t>(n); n0 += group) {
-    const std::size_t gn =
-        std::min(group, static_cast<std::size_t>(n) - n0);
-    const std::size_t wide = gn * pixels;
-    ScratchArena::Frame frame(arena);
-    float* cols = arena.alloc_floats(static_cast<std::size_t>(patch) * wide);
-    auto lower = [&](std::size_t i) {
-      im2col_lower(x.data() + (n0 + i) * x_stride, c_in, h, wd, spec,
-                   cols + i * pixels, wide);
-    };
-    if (gn > 1 && max_workers() > 1 && !in_parallel_region())
-      parallel_for(0, gn, lower);
-    else
-      for (std::size_t i = 0; i < gn; ++i) lower(i);
-
-    if (fusion && gn == 1) {
-      gemm(spec.out_channels, pixels, patch, w.data(), patch,
-           /*trans_a=*/false, cols, pixels, /*trans_b=*/false,
-           y.data() + n0 * y_stride, pixels, /*accumulate=*/false, extra);
-      continue;
-    }
-
-    float* ybuf = arena.alloc_floats(
-        static_cast<std::size_t>(spec.out_channels) * wide);
-    gemm(spec.out_channels, static_cast<int>(wide), patch, w.data(), patch,
-         /*trans_a=*/false, cols, static_cast<int>(wide), /*trans_b=*/false,
-         ybuf, static_cast<int>(wide), /*accumulate=*/false, extra);
-
-    auto scatter = [&](std::size_t i) {
-      float* yp = y.data() + (n0 + i) * y_stride;
-      for (int oc = 0; oc < spec.out_channels; ++oc) {
-        const float bias = b[static_cast<std::size_t>(oc)];
-        const float* src =
-            ybuf + static_cast<std::size_t>(oc) * wide + i * pixels;
-        float* dst = yp + static_cast<std::size_t>(oc) * pixels;
-        if (fusion) {
-          // Epilogue already applied bias (+BN/act) in the GEMM pass.
-          std::copy(src, src + pixels, dst);
-        } else {
-          for (int j = 0; j < pixels; ++j) dst[j] = src[j] + bias;
-        }
-      }
-    };
-    if (gn > 1 && max_workers() > 1 && !in_parallel_region())
-      parallel_for(0, gn, scatter);
-    else
-      for (std::size_t i = 0; i < gn; ++i) scatter(i);
-  }
+  conv2d_forward_items(x.data(), n, h, wd, w.data(), spec, extra, y.data());
   return y;
 }
 
@@ -301,7 +221,7 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
     ScratchArena::Frame frame(arena);
     float* cols =
         arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-    im2col_lower(x.data() + i * x_stride, c_in, h, wd, spec, cols, pixels);
+    im2col_lower(x.data() + i * x_stride, c_in, h, wd, spec, cols);
     // dW_i = dY_i * cols_i^T  [Cout, patch]
     Tensor dwi({spec.out_channels, patch});
     gemm(spec.out_channels, patch, pixels, dyp, pixels, /*trans_a=*/false,

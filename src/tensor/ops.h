@@ -32,42 +32,40 @@ struct Conv2dSpec {
   int out_w(int in_w) const { return (in_w + 2 * pad - kernel) / stride + 1; }
 };
 
-/// Inference fast-path options for conv2d_forward. With `fusion` set the
-/// bias scatter moves into the GEMM epilogue (plus an optional eval
-/// batch-norm fold and activation — all per out-channel), and the weight
-/// operand's packing is reused across calls through `weight_cache`.
-/// Results are bit-identical to the separate passes in every case.
+/// Inference options for conv2d_forward: the weight operand's packing is
+/// reused across calls through `weight_cache`, and `precision` selects the
+/// GEMM tier. The bias always rides the GEMM epilogue.
 struct ConvFusion {
   GemmCacheSlot* weight_cache = nullptr;  ///< pack-once cache for W
-  // Eval-mode BatchNorm fold, per out-channel (all four set, or all null).
-  const float* bn_mean = nullptr;
-  const float* bn_inv_std = nullptr;
-  const float* bn_gamma = nullptr;
-  const float* bn_beta = nullptr;
-  Act act = Act::kNone;
-  float act_slope = 0.f;
   /// Numeric tier for the conv GEMMs (see tensor/gemm.h). Non-fp32 tiers
   /// are only legal on backward-free inference paths; weights quantize per
   /// out-channel into `weight_cache` under kInt8.
   GemmPrecision precision = GemmPrecision::kFp32;
   /// kInt8 only: calibrated per-tensor activation scale (range / 127);
-  /// <= 0 falls back to a dynamic per-call absmax.
+  /// must be > 0 at kInt8.
   float act_scale = 0.f;
 };
 
 /// x: [N, Cin, H, W]; w: [Cout, Cin, K, K]; b: [Cout].
-/// Returns [N, Cout, Ho, Wo].
+/// Returns [N, Cout, Ho, Wo]. Runs conv2d_forward_items with the bias as
+/// the GEMM epilogue.
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       const Conv2dSpec& spec,
                       const ConvFusion* fusion = nullptr);
 
-/// Lowers one image x [Cin,H,W] to its im2col column matrix: row p of the
-/// [Cin*K*K, Ho*Wo] matrix lands at cols[p*cols_ld ...]. This is the exact
-/// lowering conv2d_forward uses internally; exposed so a compiled
-/// execution plan (nn/plan) can stage the identical GEMM operand into its
-/// own scratch and stay bit-identical to the eager conv.
-void im2col_lower(const float* x, int c_in, int h, int w,
-                  const Conv2dSpec& s, float* cols, std::size_t cols_ld);
+/// The one conv forward loop, shared by conv2d_forward and compiled
+/// execution plans (nn/plan): one GEMM per batch item of x [n, Cin, h, w]
+/// with the weights [Cout, Cin*K*K] as op(A), written straight into
+/// y [n, Cout, Ho, Wo] through `extra` (weight cache, epilogue, tier).
+/// op(B) is gathered from x by the implicit-im2col packer, or lowered per
+/// item into scratch under ADVP_IM2COL=staged; both give the same bits.
+/// Item 0 runs first on the calling thread so a cold weight slot fills
+/// exactly once; the remaining items then fan out over the worker pool,
+/// each GEMM serial inside the region, so any worker count gives the same
+/// bits.
+void conv2d_forward_items(const float* x, int n, int h, int w,
+                          const float* weights, const Conv2dSpec& spec,
+                          const GemmExtra& extra, float* y);
 
 struct Conv2dGrads {
   Tensor dx;  ///< gradient w.r.t. input, same shape as x

@@ -368,6 +368,29 @@ TEST(GemmFusedTest, EpilogueRejectsAccumulate) {
                CheckError);
 }
 
+// int8 has no dynamic activation scale: a call without a calibrated
+// act_scale > 0 is rejected instead of quantizing with a per-call absmax
+// that would depend on the rest of the batch.
+TEST(GemmInt8Test, RequiresCalibratedActivationScale) {
+  Rng rng(203);
+  const int m = 8, k = 16, n = 8;
+  Tensor a = Tensor::randn({m, k}, rng);
+  Tensor b = Tensor::randn({k, n}, rng);
+  Tensor c({m, n});
+  GemmExtra extra;
+  extra.precision = GemmPrecision::kInt8;
+  for (float scale : {0.f, -1.f, std::nanf("")}) {
+    extra.act_scale = scale;
+    EXPECT_THROW(gemm(m, n, k, a.data(), k, false, b.data(), n, false,
+                      c.data(), n, /*accumulate=*/false, extra),
+                 CheckError)
+        << "act_scale " << scale;
+  }
+  extra.act_scale = b.abs_max() / 127.f;
+  EXPECT_NO_THROW(gemm(m, n, k, a.data(), k, false, b.data(), n, false,
+                       c.data(), n, /*accumulate=*/false, extra));
+}
+
 TEST(GemmPackCacheTest, ACacheReusedAndInvalidatedByGeneration) {
   ForcePackCache on(1);
   ScopedMaxWorkers three(3);

@@ -1,9 +1,9 @@
 // Implicit-GEMM convolution: the fused im2col-in-the-packer path must be
 // bit-identical to the staged column-matrix path across conv geometries
 // (stride > 1, padding, 1x1 kernels, non-square inputs), precision tiers
-// (fp32 / int8, calibrated and dynamic), and worker counts; the
-// backward pass must stay pinned to the staged lowering; and a warm
-// implicit plan forward must stage zero im2col bytes.
+// (fp32 / calibrated int8), and worker counts; the backward pass must
+// stay pinned to the staged lowering; and a warm implicit plan forward
+// must stage zero im2col bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -66,25 +66,35 @@ PackSource pack_source(const Tensor& x, const Conv2dSpec& s) {
   return ps;
 }
 
-// Stages the wide [patch, items*pixels] column matrix exactly as the
-// staged conv path does (each item owns a disjoint pixel-column block).
+// Reference im2col: the wide [patch, items*pixels] column matrix, each
+// item owning a disjoint pixel-column block; element (p, j) is the input
+// pixel patch entry p of output pixel j reads (zero outside the image).
 std::vector<float> stage_cols(const Tensor& x, const Conv2dSpec& s) {
-  const int pixels = s.out_h(x.dim(2)) * s.out_w(x.dim(3));
-  const int patch = x.dim(1) * s.kernel * s.kernel;
-  const std::size_t n = static_cast<std::size_t>(x.dim(0)) * pixels;
+  const int c_in = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int ho = s.out_h(h), wo = s.out_w(w);
+  const int kk = s.kernel * s.kernel;
+  const int patch = c_in * kk;
+  const std::size_t n = static_cast<std::size_t>(x.dim(0)) * ho * wo;
   std::vector<float> cols(static_cast<std::size_t>(patch) * n);
-  const std::size_t x_stride =
-      static_cast<std::size_t>(x.dim(1)) * x.dim(2) * x.dim(3);
-  for (int i = 0; i < x.dim(0); ++i)
-    im2col_lower(x.data() + i * x_stride, x.dim(1), x.dim(2), x.dim(3), s,
-                 cols.data() + static_cast<std::size_t>(i) * pixels, n);
+  for (int p = 0; p < patch; ++p) {
+    const int c = p / kk, ky = (p % kk) / s.kernel, kx = p % s.kernel;
+    std::size_t j = 0;
+    for (int i = 0; i < x.dim(0); ++i)
+      for (int oy = 0; oy < ho; ++oy)
+        for (int ox = 0; ox < wo; ++ox, ++j) {
+          const int iy = oy * s.stride + ky - s.pad;
+          const int ix = ox * s.stride + kx - s.pad;
+          cols[static_cast<std::size_t>(p) * n + j] =
+              (iy >= 0 && iy < h && ix >= 0 && ix < w) ? x.at(i, c, iy, ix)
+                                                       : 0.f;
+        }
+  }
   return cols;
 }
 
 // The raw-GEMM identity matrix: for every geometry x tier x worker count,
 // a gemm() fed a PackSource must produce the same bits as the same gemm()
-// fed the staged column matrix. Dynamic int8 (act_scale <= 0) is included
-// — absmax over the gathered multiset equals absmax over the staged one.
+// fed the staged column matrix.
 TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
   const Geo geos[] = {
       {5, 16, 16, 3, 1, 1, 3, "k3s1p1"},
@@ -119,7 +129,6 @@ TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
     const Tier tiers[] = {
         {GemmPrecision::kFp32, 0.f, "fp32"},
         {GemmPrecision::kInt8, absmax_of(x) / 127.f, "int8-calibrated"},
-        {GemmPrecision::kInt8, 0.f, "int8-dynamic"},
     };
     for (const Tier& tier : tiers) {
       for (int workers : {1, 4}) {
@@ -175,10 +184,8 @@ TEST(ImplicitGemmPack, NaiveFallbackGathersIdenticalDenseMatrix) {
   EXPECT_TRUE(bitwise_equal(c_staged, c_implicit));
 }
 
-// The fused eager conv must agree between the two routes for every tier,
-// batch size, and worker count — the ADVP_IM2COL kill-switch is the
-// oracle. (int8 with a dynamic scale and batch > 1 routes back to the
-// staged group internally, so the comparison pins that gate too.)
+// The eager conv must agree between the two routes for every tier, batch
+// size, and worker count — the ADVP_IM2COL kill-switch is the oracle.
 TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
   HookGuard guard;
   Rng rng(21);
@@ -192,13 +199,11 @@ TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
   const Tensor b = Tensor::rand({8}, rng);
   struct Tier {
     GemmPrecision prec;
-    bool calibrated;
     const char* name;
   };
   const Tier tiers[] = {
-      {GemmPrecision::kFp32, false, "fp32"},
-      {GemmPrecision::kInt8, true, "int8-calibrated"},
-      {GemmPrecision::kInt8, false, "int8-dynamic"},
+      {GemmPrecision::kFp32, "fp32"},
+      {GemmPrecision::kInt8, "int8-calibrated"},
   };
   for (int batch : {1, 3}) {
     Tensor x = Tensor::rand({batch, 3, 20, 20}, rng);
@@ -208,10 +213,8 @@ TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
         ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
         GemmCacheSlot slot_staged, slot_implicit;
         ConvFusion fusion;
-        fusion.act = Act::kReluLeaky;
-        fusion.act_slope = 0.1f;
         fusion.precision = tier.prec;
-        fusion.act_scale = tier.calibrated ? absmax_of(x) / 127.f : 0.f;
+        fusion.act_scale = absmax_of(x) / 127.f;
 
         gemm_detail::force_im2col(0);
         fusion.weight_cache = &slot_staged;
@@ -228,9 +231,10 @@ TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
   }
 }
 
-// Unfused forwards and the backward pass stay on the staged lowering even
-// when implicit mode is forced on: the staged-bytes counter must tick,
-// and gradients must not depend on the mode at all.
+// The backward pass stays on the staged lowering even when implicit mode
+// is forced on: the staged-bytes counter must tick, and gradients must not
+// depend on the mode at all. A forward without ConvFusion takes the same
+// implicit route as every other forward and stages nothing.
 TEST(ImplicitConvBackward, GradientsStayStagedAndModeIndependent) {
   HookGuard guard;
   Rng rng(33);
@@ -253,17 +257,16 @@ TEST(ImplicitConvBackward, GradientsStayStagedAndModeIndependent) {
   if (!obs::trace_disabled())
     EXPECT_GT(obs::counter_value(obs::Counter::kIm2colBytesStaged), before)
         << "backward must keep running the staged lowering";
-  // Unfused forward also stays staged (no epilogue to fuse into).
   const std::uint64_t before_fwd =
       obs::counter_value(obs::Counter::kIm2colBytesStaged);
-  conv2d_forward(x, w, b, spec);
-  if (!obs::trace_disabled())
-    EXPECT_GT(obs::counter_value(obs::Counter::kIm2colBytesStaged),
-              before_fwd)
-        << "unfused forward must keep running the staged lowering";
+  const Tensor y_implicit = conv2d_forward(x, w, b, spec);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kIm2colBytesStaged),
+            before_fwd)
+      << "a forward without ConvFusion staged im2col bytes";
   obs::enable(false);
 
   gemm_detail::force_im2col(0);
+  EXPECT_TRUE(bitwise_equal(y_implicit, conv2d_forward(x, w, b, spec)));
   const Conv2dGrads g_staged = conv2d_backward(x, w, dy, spec);
   EXPECT_TRUE(bitwise_equal(g_implicit.dx, g_staged.dx));
   EXPECT_TRUE(bitwise_equal(g_implicit.dw, g_staged.dw));

@@ -12,6 +12,7 @@
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
+#include "nn/plan.h"
 #include "nn/precision.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
@@ -339,7 +340,7 @@ TEST(SerializeTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- inference fast path ----------------------------------------------------
+// ---- inference fast path (compiled plan vs its eager oracle) ---------------
 
 // A stack hitting every fusion pattern: Conv+BN+SiLU, Conv+ReLU, a bare
 // Conv followed by a non-fusible layer, and Linear+ReLU / bare Linear.
@@ -359,9 +360,15 @@ Sequential make_fusible_stack(Rng& rng) {
   return net;
 }
 
+std::vector<Module*> children(Sequential& net) {
+  std::vector<Module*> out;
+  for (std::size_t i = 0; i < net.size(); ++i) out.push_back(&net.child(i));
+  return out;
+}
+
 TEST(InferenceModeTest, FusedForwardBitIdenticalToPlainEval) {
-  // Exact fused-vs-plain identity only holds in fp32: pin it so the test
-  // also passes under an ADVP_PRECISION=int8 environment.
+  // Plan structure, not tiers: pinned to fp32 so an ADVP_PRECISION=int8
+  // environment (which this uncalibrated stack cannot plan) does not apply.
   PrecisionScope fp32(GemmPrecision::kFp32);
   Rng rng(15);
   Sequential net = make_fusible_stack(rng);
@@ -371,20 +378,21 @@ TEST(InferenceModeTest, FusedForwardBitIdenticalToPlainEval) {
 
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 0.5f);
   Tensor plain = net.forward(x, /*train=*/false);
-  Tensor fused;
-  {
-    InferenceModeScope scope;
-    fused = net.forward(x, /*train=*/false);
-  }
-  ASSERT_TRUE(fused.same_shape(plain));
-  for (std::size_t i = 0; i < fused.numel(); ++i)
-    ASSERT_EQ(fused[i], plain[i]) << "element " << i;
-  // Repeat with warm pack caches: still bit-identical.
-  {
-    InferenceModeScope scope;
-    Tensor again = net.forward(x, /*train=*/false);
-    for (std::size_t i = 0; i < again.numel(); ++i)
-      ASSERT_EQ(again[i], plain[i]) << "element " << i;
+  PlanCache cache;
+  InferenceModeScope scope;
+  // The scoped eager walk (no backward caches) keeps the same bits.
+  Tensor scoped = net.forward(x, /*train=*/false);
+  for (std::size_t i = 0; i < scoped.numel(); ++i)
+    ASSERT_EQ(scoped[i], plain[i]) << "element " << i;
+  // The compiled plan folds BN and the activations into the GEMM
+  // epilogues; cold and warm, it reproduces the eager walk exactly.
+  for (int rep = 0; rep < 2; ++rep) {
+    ExecPlan* plan = cache.plan_for(children(net), x);
+    ASSERT_NE(plan, nullptr);
+    const Tensor& fused = plan->execute(x);
+    ASSERT_TRUE(fused.same_shape(plain));
+    for (std::size_t i = 0; i < fused.numel(); ++i)
+      ASSERT_EQ(fused[i], plain[i]) << "rep " << rep << ", element " << i;
   }
 }
 
@@ -412,23 +420,23 @@ TEST(InferenceModeTest, TrainingStepsInvalidatePackedWeights) {
   Rng rng(17);
   Sequential net = make_fusible_stack(rng);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 0.5f);
-  // Warm every pack cache on the fused path.
+  // Compile a plan and warm every pack cache it uses.
+  PlanCache cache;
   {
     InferenceModeScope scope;
-    net.forward(x, /*train=*/false);
+    ASSERT_NE(cache.plan_for(children(net), x), nullptr);
   }
   // One SGD step mutates the weights in place.
   Tensor y = net.forward(x, /*train=*/true);
   net.backward(Tensor::ones(y.shape()));
   Sgd opt(net.params(), 0.05f);
   opt.step();
-  // The fused forward must see the stepped weights, not stale packs.
+  // The plan must see the stepped weights, not stale packs.
   Tensor plain = net.forward(x, /*train=*/false);
-  Tensor fused;
-  {
-    InferenceModeScope scope;
-    fused = net.forward(x, /*train=*/false);
-  }
+  InferenceModeScope scope;
+  ExecPlan* plan = cache.plan_for(children(net), x);
+  ASSERT_NE(plan, nullptr);
+  const Tensor& fused = plan->execute(x);
   for (std::size_t i = 0; i < fused.numel(); ++i)
     ASSERT_EQ(fused[i], plain[i]) << "element " << i;
 }

@@ -1,7 +1,8 @@
-// Execution-plan compiler: bit-identity of compiled plans against the
-// eager and fused paths across precision tiers, worker counts, and batch
-// sizes; cache invalidation on weight-generation bumps; per-shape plan
-// caching; and the zero-steady-state-allocation contract.
+// Execution-plan compiler: bit-identity of compiled plans against their
+// oracle, the eager walk under an InferenceModeScope, across precision
+// tiers, worker counts, batch sizes, and im2col modes; cache invalidation
+// on weight-generation bumps; per-shape plan caching; and the
+// zero-steady-state-allocation contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -20,10 +21,13 @@
 namespace advp::nn {
 namespace {
 
-// Restores the plan hook to its environment default on scope exit so one
-// test cannot leak a forced mode into the next.
+// Restores the plan and im2col hooks to their defaults on scope exit so
+// one test cannot leak a forced mode into the next.
 struct HookGuard {
-  ~HookGuard() { plan_detail::force_plan(-1); }
+  ~HookGuard() {
+    plan_detail::force_plan(-1);
+    gemm_detail::force_im2col(-1);
+  }
 };
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
@@ -48,37 +52,41 @@ TEST(PlanBitIdentity, TinyYoloAcrossTiersWorkersBatches) {
   model.calibrate(random_batches(2, 2, 3, 48, 48, 70));  // enables int8
   const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
-    for (int batch : {1, 3, 8}) {
-      Rng xr(100 + batch);
-      const Tensor x = Tensor::rand({batch, 3, 48, 48}, xr);
-      // Fused oracle: single-threaded, plans off.
-      Tensor fused;
-      {
-        ScopedMaxWorkers workers(1);
-        plan_detail::force_plan(0);
-        InferenceModeScope inference;
-        PrecisionScope scope(tier);
-        fused = model.forward_raw(x, /*train=*/false);
-      }
-      // Eager oracle (fp32 only: the reduced tiers require the fused
-      // inference path): the plain child-by-child walk with no scope.
-      if (tier == GemmPrecision::kFp32) {
-        ScopedMaxWorkers workers(1);
-        plan_detail::force_plan(0);
-        PrecisionScope scope(tier);
-        Tensor eager = model.forward_raw(x, /*train=*/false);
-        EXPECT_TRUE(bitwise_equal(eager, fused))
-            << "eager vs fused, batch " << batch;
-      }
-      plan_detail::force_plan(1);
-      for (int workers : {1, 4}) {
-        ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
-        InferenceModeScope inference;
-        PrecisionScope scope(tier);
-        Tensor planned = model.forward_raw(x, /*train=*/false);
-        EXPECT_TRUE(bitwise_equal(planned, fused))
-            << "plan vs fused: tier " << precision_name(tier) << ", batch "
-            << batch << ", workers " << workers;
+    for (int im2col : {1, 0}) {
+      gemm_detail::force_im2col(im2col);
+      for (int batch : {1, 3, 8}) {
+        Rng xr(100 + batch);
+        const Tensor x = Tensor::rand({batch, 3, 48, 48}, xr);
+        // Oracle: the eager walk, single-threaded, plans off.
+        Tensor eager;
+        {
+          ScopedMaxWorkers workers(1);
+          plan_detail::force_plan(0);
+          InferenceModeScope inference;
+          PrecisionScope scope(tier);
+          eager = model.forward_raw(x, /*train=*/false);
+        }
+        // At fp32 the scopeless walk (the attack oracles' forward, which
+        // keeps its backward caches) gives the same bits too.
+        if (tier == GemmPrecision::kFp32) {
+          ScopedMaxWorkers workers(1);
+          PrecisionScope scope(tier);
+          Tensor cached = model.forward_raw(x, /*train=*/false);
+          EXPECT_TRUE(bitwise_equal(cached, eager))
+              << "scopeless vs scoped eager, batch " << batch;
+        }
+        plan_detail::force_plan(1);
+        for (int workers : {1, 4}) {
+          ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+          InferenceModeScope inference;
+          PrecisionScope scope(tier);
+          ASSERT_NE(model.compile_plan(batch), nullptr);
+          Tensor planned = model.forward_raw(x, /*train=*/false);
+          EXPECT_TRUE(bitwise_equal(planned, eager))
+              << "plan vs eager: tier " << precision_name(tier)
+              << ", im2col " << im2col << ", batch " << batch
+              << ", workers " << workers;
+        }
       }
     }
   }
@@ -91,26 +99,33 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
   model.calibrate(random_batches(2, 2, 3, 48, 96, 80));
   const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
-    for (int batch : {1, 3, 8}) {
-      Rng xr(200 + batch);
-      const Tensor x = Tensor::rand({batch, 3, 48, 96}, xr);
-      std::vector<float> fused;
-      {
-        ScopedMaxWorkers workers(1);
-        plan_detail::force_plan(0);
-        ThreadPrecisionScope scope(tier);
-        fused = model.predict(x);
-      }
-      plan_detail::force_plan(1);
-      for (int workers : {1, 4}) {
-        ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
-        ThreadPrecisionScope scope(tier);
-        const std::vector<float> planned = model.predict(x);
-        ASSERT_EQ(planned.size(), fused.size());
-        for (std::size_t i = 0; i < fused.size(); ++i)
-          EXPECT_EQ(planned[i], fused[i])
-              << "item " << i << ": tier " << precision_name(tier)
-              << ", batch " << batch << ", workers " << workers;
+    for (int im2col : {1, 0}) {
+      gemm_detail::force_im2col(im2col);
+      for (int batch : {1, 3, 8}) {
+        Rng xr(200 + batch);
+        const Tensor x = Tensor::rand({batch, 3, 48, 96}, xr);
+        // Oracle: predict() (which opens its own InferenceModeScope) on
+        // the eager walk, single-threaded, plans off.
+        std::vector<float> eager;
+        {
+          ScopedMaxWorkers workers(1);
+          plan_detail::force_plan(0);
+          ThreadPrecisionScope scope(tier);
+          eager = model.predict(x);
+        }
+        plan_detail::force_plan(1);
+        for (int workers : {1, 4}) {
+          ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+          ThreadPrecisionScope scope(tier);
+          ASSERT_NE(model.compile_plan(batch), nullptr);
+          const std::vector<float> planned = model.predict(x);
+          ASSERT_EQ(planned.size(), eager.size());
+          for (std::size_t i = 0; i < eager.size(); ++i)
+            EXPECT_EQ(planned[i], eager[i])
+                << "item " << i << ": tier " << precision_name(tier)
+                << ", im2col " << im2col << ", batch " << batch
+                << ", workers " << workers;
+        }
       }
     }
   }
@@ -118,8 +133,8 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
 
 // Layer kinds the two perception models never exercise — Upsample2x,
 // GlobalAvgPool, a standalone (unfused) BatchNorm, a leaky ReLU after a
-// non-conv — compiled and compared against forward_fused directly.
-TEST(PlanBitIdentity, UncommonLayersMatchFused) {
+// non-conv — compiled and compared against the eager walk directly.
+TEST(PlanBitIdentity, UncommonLayersMatchEager) {
   HookGuard guard;
   Rng rng(9);
   Sequential net;
@@ -137,20 +152,14 @@ TEST(PlanBitIdentity, UncommonLayersMatchFused) {
 
   Rng xr(90);
   const Tensor x = Tensor::rand({3, 3, 16, 16}, xr);
-  Tensor fused;
-  {
-    plan_detail::force_plan(0);
-    InferenceModeScope inference;
-    fused = net.forward(x, /*train=*/false);
-  }
-  plan_detail::force_plan(1);
+  InferenceModeScope inference;
+  const Tensor eager = net.forward(x, /*train=*/false);
   std::vector<Module*> layers;
   for (std::size_t i = 0; i < net.size(); ++i) layers.push_back(&net.child(i));
   PlanCache cache("custom");
-  InferenceModeScope inference;
   ExecPlan* plan = cache.plan_for(layers, x);
   ASSERT_NE(plan, nullptr);
-  EXPECT_TRUE(bitwise_equal(plan->execute(x), fused));
+  EXPECT_TRUE(bitwise_equal(plan->execute(x), eager));
 }
 
 TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
@@ -177,16 +186,16 @@ TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
 
   // An optimizer-step-style weight mutation invalidates compiled plans;
   // the recompiled plan must track the new weights (and still match the
-  // fused path on them).
+  // eager walk on them).
   model.params()[0]->value *= 1.25f;
   bump_weight_generation();
-  Tensor fused;
+  Tensor eager;
   {
     plan_detail::force_plan(0);
     ScopedMaxWorkers workers(1);
     InferenceModeScope inference;
     PrecisionScope fp32(GemmPrecision::kFp32);
-    fused = model.forward_raw(x2, false);
+    eager = model.forward_raw(x2, false);
   }
   plan_detail::force_plan(1);
   {
@@ -197,7 +206,7 @@ TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
     Tensor planned = model.forward_raw(x2, false);
     EXPECT_GT(obs::counter_value(obs::Counter::kPlanCompiles),
               compiles_before);
-    EXPECT_TRUE(bitwise_equal(planned, fused));
+    EXPECT_TRUE(bitwise_equal(planned, eager));
   }
   obs::enable(false);
   obs::reset();
@@ -241,19 +250,18 @@ TEST(PlanGateTest, DisabledPlanAndUncalibratedInt8FallBack) {
   obs::enable(false);
   obs::reset();
 
-  // An uncalibrated model cannot compile at int8 (a per-item dynamic
-  // activation scale would diverge from the grouped fused GEMM); the
-  // forward must fall back to the fused path, not fail.
-  plan_detail::force_plan(1);
+  // An uncalibrated model has no int8 activation scales: it cannot
+  // compile at int8, and the forward falls back to the eager walk, where
+  // every uncalibrated layer runs fp32 — the int8 request yields exactly
+  // the fp32 bits.
   Rng xr(95);
   const Tensor x = Tensor::rand({2, 3, 48, 48}, xr);
-  Tensor fused;
+  Tensor fp32_eager;
   {
-    plan_detail::force_plan(0);
     ScopedMaxWorkers workers(1);
     InferenceModeScope inference;
-    PrecisionScope int8(GemmPrecision::kInt8);
-    fused = model.forward_raw(x, false);
+    PrecisionScope fp32(GemmPrecision::kFp32);
+    fp32_eager = model.forward_raw(x, false);
   }
   plan_detail::force_plan(1);
   {
@@ -262,7 +270,7 @@ TEST(PlanGateTest, DisabledPlanAndUncalibratedInt8FallBack) {
     PrecisionScope int8(GemmPrecision::kInt8);
     EXPECT_EQ(model.compile_plan(2), nullptr);
     Tensor out = model.forward_raw(x, false);
-    EXPECT_TRUE(bitwise_equal(out, fused));
+    EXPECT_TRUE(bitwise_equal(out, fp32_eager));
   }
 }
 

@@ -230,6 +230,7 @@ TEST(QuantGradientSafetyTest, LowPrecisionForwardThenBackwardThrows) {
   Sequential net;
   net.emplace<Conv2d>(3, 4, 3, 1, 1, rng);
   Tensor x = Tensor::rand({1, 3, 6, 6}, rng);
+  calibrate(net, {x});  // an uncalibrated layer would run fp32 anyway
   {
     InferenceModeScope inference;
     PrecisionScope scope(GemmPrecision::kInt8);
@@ -245,6 +246,7 @@ TEST(QuantGradientSafetyTest, TrainingForwardStaysFp32UnderScope) {
   Sequential net;
   net.emplace<Conv2d>(3, 4, 3, 1, 1, rng);
   Tensor x = Tensor::rand({2, 3, 6, 6}, rng);
+  calibrate(net, {x});  // int8-capable, so only the train flag keeps fp32
   Tensor ref = net.forward(x, /*train=*/true);
   Tensor scoped;
   {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -375,6 +376,55 @@ TEST_F(AdvpRejection, PayloadCorruptionFailsHash) {
   const std::string path = temp_file("reject_variant.advp");
   EXPECT_EQ(nn::verify_advp(path).status, nn::AdvpStatus::kHashMismatch);
   EXPECT_EQ(nn::verify_advp(path_).status, nn::AdvpStatus::kOk);
+}
+
+// Calibration ranges sit outside the content hash and each one sets an
+// int8 activation scale, so a corrupted range must fail the load loudly
+// instead of silently changing int8 numerics (NaN or a negative value
+// would mark the layer uncalibrated; +inf would quantize every activation
+// to 0). The model, its ranges included, stays untouched.
+TEST_F(AdvpRejection, CorruptCalibrationRange) {
+  nn::AdvpInfo info;
+  ASSERT_TRUE(nn::read_advp_info(path_, &info).ok());
+  const auto cal = std::find_if(
+      info.sections.begin(), info.sections.end(), [](const auto& sec) {
+        return sec.kind ==
+               static_cast<std::uint32_t>(nn::AdvpSection::kCalibration);
+      });
+  ASSERT_NE(cal, info.sections.end());
+  ASSERT_GE(cal->bytes, 2 * sizeof(float));
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(), -1.f};
+  for (const float v : bad) {
+    for (const std::size_t layer : {std::size_t{0}, std::size_t{1}}) {
+      auto b = bytes_;
+      std::memcpy(b.data() + cal->offset + layer * sizeof(float), &v,
+                  sizeof(float));
+      const std::string path = temp_file("reject_calib.advp");
+      write_file(path, b);
+      Rng rng(25);
+      models::TinyYolo dst(small_config(), rng);
+      const std::uint64_t before = nn::param_fingerprint(dst.params());
+      const auto r = models::load_detector_advp(dst, path);
+      EXPECT_EQ(r.status, nn::AdvpStatus::kMalformed)
+          << "range " << v << " at layer " << layer << ": got "
+          << nn::advp_status_name(r.status) << " (" << r.error << ")";
+      EXPECT_EQ(nn::param_fingerprint(dst.params()), before);
+      EXPECT_FALSE(nn::has_calibration(dst.backbone()));
+      for (const float range : nn::collect_calibration(dst.backbone()))
+        EXPECT_EQ(range, 0.f);
+    }
+  }
+  // 0 stays legal: it means "uncalibrated" and that layer runs fp32.
+  auto b = bytes_;
+  const float zero = 0.f;
+  std::memcpy(b.data() + cal->offset, &zero, sizeof(float));
+  const std::string path = temp_file("zero_calib.advp");
+  write_file(path, b);
+  Rng rng(26);
+  models::TinyYolo dst(small_config(), rng);
+  EXPECT_TRUE(models::load_detector_advp(dst, path).ok());
+  EXPECT_EQ(nn::collect_calibration(dst.backbone())[0], 0.f);
 }
 
 TEST_F(AdvpRejection, ModelShapeMismatch) {

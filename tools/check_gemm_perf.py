@@ -29,20 +29,19 @@ One section gates the int8 inference tier:
 
 Two sections gate the convolution fast paths:
 
-- "plan": whole-model inference through a compiled nn::ExecPlan vs the
-  uncompiled forward_fused walk, both warm and single-threaded.
+- "plan": whole-model inference through a compiled nn::ExecPlan vs its
+  oracle, the eager walk (eager_ms), both warm and single-threaded.
   plan_speedup must clear PLAN_SPEEDUP_MIN on every committed model.
 - "conv": implicit-GEMM convolution (pack_B gathers patches straight
-  from the NCHW image) vs the staged im2col + gemm path, both warm and
-  single-threaded. conv_implicit_speedup must clear CONV_IMPLICIT_MIN on
+  from the NCHW image) vs the staged per-item im2col + gemm path, both
+  warm, single-threaded, with a bias-only epilogue. conv_implicit_speedup must clear CONV_IMPLICIT_MIN on
   every committed conv shape, baseline-relative on top.
 
 Also asserts `identical: true` for every entry: the blocked kernel, the
 fused epilogue, the warm-cache path, the int8 tier (SIMD vs portable
-micro-kernel), the compiled plan (vs forward_fused), and the
-implicit-im2col packer
-(vs the staged column matrix) must all stay bit-identical to their
-reference passes, on any runner. Exit code 1 on any failure.
+micro-kernel), the compiled plan (vs the eager walk), and the
+implicit-im2col packer (vs the staged column matrix) must all stay
+bit-identical to their reference passes, on any runner. Exit code 1 on any failure.
 """
 import sys
 
@@ -52,7 +51,7 @@ TOLERANCE = pc.TOLERANCE
 FUSED_MIN = 1.15  # fused epilogue must beat separate passes by >= 15%
 PACK_REDUCTION_MIN = 0.80  # warm calls must skip >= 80% of packing bytes
 INT8_SPEEDUP_MIN = 1.50  # calibrated int8 must beat warm fp32 by >= 50%
-PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat forward_fused by >= 10%
+PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat the eager walk by >= 10%
 CONV_IMPLICIT_MIN = 1.15  # implicit im2col must beat staged by >= 15%
 
 SECTIONS = ("shapes", "fused", "warm_cache", "int8", "plan", "conv")
