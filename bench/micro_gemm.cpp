@@ -36,12 +36,6 @@
 // nn::ExecPlan against its oracle, the eager walk (`eager_ms`);
 // `plan_speedup` must clear 1.10x in CI and `identical` asserts the two
 // agree bit-for-bit.
-//
-// The "conv" section measures the implicit-GEMM convolution path (pack_B
-// gathers patches straight from the NCHW image) against the staged
-// im2col + gemm path on the same warm footing (bias-only epilogue) —
-// `conv_implicit_speedup` must clear 1.15x in CI and `identical` asserts
-// the two paths agree bit-for-bit.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -57,7 +51,6 @@
 #include "nn/plan.h"
 #include "nn/precision.h"
 #include "tensor/gemm.h"
-#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -448,88 +441,6 @@ int main() {
           ci + 1 < cases.size() ? "," : "");
       run.manifest().set(std::string(pc.name) + "_speedup",
                          eager_ms / plan_ms);
-    }
-  }
-  // ---- implicit-GEMM convolution -------------------------------------------
-  // Eager conv2d_forward (bias-only epilogue) with pack_B gathering
-  // patches straight from the NCHW image (the default) versus the staged
-  // per-item im2col + gemm path (ADVP_IM2COL=staged), both warm and
-  // single-threaded with their own weight-cache slot, on every precision
-  // tier. Shapes where the column matrix dominates traffic (small Cin*K*K
-  // against wide N).
-  // `conv_implicit_speedup` (staged_ms / implicit_ms) is the CI gate
-  // (>= 1.15); `identical` asserts the gather order preserves the exact
-  // FMA sequence, so the two paths agree bit-for-bit.
-  std::printf("  ],\n  \"conv\": [\n");
-  {
-    struct ConvCase {
-      const char* name;
-      int batch, cin, cout, h, w, kernel, stride, pad;
-      GemmPrecision prec;
-    };
-    const std::vector<ConvCase> cases = {
-        {"conv_yolo1_k3s1_b4", 4, 3, 16, 48, 48, 3, 1, 1,
-         GemmPrecision::kFp32},
-        {"conv_mid_k3s1_b1", 1, 16, 32, 64, 64, 3, 1, 1,
-         GemmPrecision::kFp32},
-        {"conv_int8_k3s1_b4", 4, 16, 32, 64, 64, 3, 1, 1,
-         GemmPrecision::kInt8},
-    };
-    for (std::size_t ci = 0; ci < cases.size(); ++ci) {
-      const ConvCase& cc = cases[ci];
-      Conv2dSpec spec;
-      spec.in_channels = cc.cin;
-      spec.out_channels = cc.cout;
-      spec.kernel = cc.kernel;
-      spec.stride = cc.stride;
-      spec.pad = cc.pad;
-      Rng xr(910 + static_cast<std::uint64_t>(ci));
-      const Tensor x = Tensor::randn({cc.batch, cc.cin, cc.h, cc.w}, xr);
-      const Tensor w =
-          Tensor::randn({cc.cout, cc.cin, cc.kernel, cc.kernel}, xr);
-      const Tensor bias = Tensor::randn({cc.cout}, xr);
-      const double macs = static_cast<double>(cc.cout) * cc.cin * cc.kernel *
-                          cc.kernel * cc.batch * spec.out_h(cc.h) *
-                          spec.out_w(cc.w);
-      const int reps = std::clamp(static_cast<int>(2e8 / macs), 5, 60);
-      const float act_scale = x.abs_max() / 127.f;  // calibrated scale
-
-      // One slot per mode: the weight panels are identical either way, but
-      // the slots are single-owner and the timing must not share warm-up.
-      auto timed = [&](int mode, Tensor* out) {
-        GemmCacheSlot slot;
-        ConvFusion fusion;
-        fusion.weight_cache = &slot;
-        fusion.precision = cc.prec;
-        if (cc.prec == GemmPrecision::kInt8) fusion.act_scale = act_scale;
-        gemm_detail::force_im2col(mode);
-        *out = conv2d_forward(x, w, bias, spec, &fusion);  // warm
-        const double ms = best_ms(
-            reps, [&] { *out = conv2d_forward(x, w, bias, spec, &fusion); });
-        gemm_detail::force_im2col(-1);
-        return ms;
-      };
-
-      Tensor y_staged, y_impl;
-      double staged_ms, impl_ms;
-      {
-        ScopedMaxWorkers one(1);
-        staged_ms = timed(0, &y_staged);
-        impl_ms = timed(1, &y_impl);
-      }
-      bool identical = y_staged.shape() == y_impl.shape();
-      for (std::size_t i = 0; i < y_staged.numel() && identical; ++i)
-        identical = y_staged[i] == y_impl[i];
-      const double speedup = staged_ms / impl_ms;
-      std::printf(
-          "    {\"name\": \"%s\", \"batch\": %d, \"cin\": %d, \"cout\": %d, "
-          "\"hw\": %d, \"kernel\": %d, \"stride\": %d, "
-          "\"staged_ms\": %.4f, \"implicit_ms\": %.4f, "
-          "\"conv_implicit_speedup\": %.2f, \"identical\": %s}%s\n",
-          cc.name, cc.batch, cc.cin, cc.cout, cc.h, cc.kernel, cc.stride,
-          staged_ms, impl_ms, speedup, identical ? "true" : "false",
-          ci + 1 < cases.size() ? "," : "");
-      run.manifest().set(std::string(cc.name) + "_implicit_speedup", speedup);
     }
   }
   std::printf("  ]\n}\n");

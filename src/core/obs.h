@@ -97,8 +97,8 @@ enum class Counter : int {
   kSimScenarios,        ///< ACC scenarios completed (any path)
   kCampaignBatchItems,  ///< frames stacked into lockstep batched predicts
   kCampaignCohortRefills,  ///< finished lockstep lanes refilled in place
-  kIm2colBytesStaged,   ///< bytes materialized by staged im2col lowering
-                        ///< (the implicit-GEMM conv path keeps this at 0)
+  kIm2colBytesStaged,   ///< bytes materialized by im2col lowering (every
+                        ///< conv forward and backward item)
   kCount
 };
 

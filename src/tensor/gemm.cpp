@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/check.h"
 #include "core/obs.h"
@@ -67,21 +66,6 @@ bool pack_cache_env_default() {
     return !(e && e[0] == '0' && e[1] == '\0');
   }();
   return on;
-}
-
-// Implicit-im2col control: ADVP_IM2COL=staged (or =0) is the kill-switch
-// that restores the materialized-cols conv path, plus the test-hook
-// override used by the bit-identity suites.
-std::atomic<int> g_force_im2col{-1};
-
-bool im2col_env_default() {
-  static const bool implicit_on = [] {
-    const char* e = std::getenv("ADVP_IM2COL");
-    if (!e) return true;
-    return !(std::strcmp(e, "staged") == 0 ||
-             (e[0] == '0' && e[1] == '\0'));
-  }();
-  return implicit_on;
 }
 
 inline int round_up(int v, int to) { return (v + to - 1) / to * to; }
@@ -170,163 +154,6 @@ void pack_b(const float* b, int ldb, bool trans_b, int pc, int kc, int j0,
   ADVP_OBS_COUNT(kGemmPackBytes,
                  static_cast<std::uint64_t>(kc) * round_up(nw, kNr) *
                      sizeof(float));
-}
-
-// ---- implicit im2col (fused conv lowering) ---------------------------------
-//
-// The staged conv path materializes the column matrix with im2col_lower
-// and then pack_b re-reads it while staging panels — every activation
-// element crosses memory twice. The implicit path gathers op(B) elements
-// straight out of NCHW image storage inside the packer: row p of op(B)
-// decomposes to a patch tap (c, ky, kx), column j to an output pixel
-// (item, oy, ox), and the value is x[item][c][oy*stride+ky-pad]
-// [ox*stride+kx-pad] with zeros outside the image — exactly the element
-// im2col_lower would have staged at (p, j). Because the packer emits the
-// same element multiset in the same panel order, and nothing downstream
-// of packing changes, the result is bit-identical to the staged path on
-// every tier.
-
-// Patch-row decomposition of op(B) row p under a conv geometry.
-struct PatchTap {
-  int c, ky, kx;
-};
-inline PatchTap patch_tap(const PackSource& ps, int p) {
-  const int kxk = ps.kernel * ps.kernel;
-  return {p / kxk, (p / ps.kernel) % ps.kernel, p % ps.kernel};
-}
-// Advances a tap to op(B) row p+1 without re-dividing (taps walk kx
-// fastest, then ky, then c — the im2col row order).
-inline void next_tap(const PackSource& ps, PatchTap& t) {
-  if (++t.kx == ps.kernel) {
-    t.kx = 0;
-    if (++t.ky == ps.kernel) {
-      t.ky = 0;
-      ++t.c;
-    }
-  }
-}
-
-// Output-pixel decomposition of op(B) column j. The packers divide once
-// per pack call and then advance the cursor incrementally panel to panel
-// — the per-(row, panel) gather below never divides.
-struct ColCursor {
-  int item, oy, ox;
-};
-inline ColCursor col_cursor(const PackSource& ps, int j) {
-  const int pixels = ps.out_h * ps.out_w;
-  const int item = j / pixels;
-  const int pix = j - item * pixels;
-  const int oy = pix / ps.out_w;
-  return {item, oy, pix - oy * ps.out_w};
-}
-inline void advance(const PackSource& ps, ColCursor& cur, int count) {
-  cur.ox += count;
-  while (cur.ox >= ps.out_w) {
-    cur.ox -= ps.out_w;
-    if (++cur.oy == ps.out_h) {
-      cur.oy = 0;
-      ++cur.item;
-    }
-  }
-}
-
-// Fast chunk gather: a full kNr-wide chunk that sits on one output row,
-// stride 1, fully inside the image — one fixed-size copy the compiler
-// lowers to straight vector moves. Returns false when any boundary is in
-// play and the general walk below must run.
-inline bool gather_chunk_interior(const PackSource& ps, const PatchTap& t,
-                                  const ColCursor& cur, float* dst) {
-  if (ps.stride != 1 || cur.ox + kNr > ps.out_w) return false;
-  const int iy = cur.oy + t.ky - ps.pad;
-  const int ix0 = cur.ox + t.kx - ps.pad;
-  if (iy < 0 || iy >= ps.h || ix0 < 0 || ix0 + kNr > ps.w) return false;
-  std::memcpy(dst,
-              ps.base + static_cast<std::size_t>(cur.item) * ps.item_stride +
-                  (static_cast<std::size_t>(t.c) * ps.h + iy) * ps.w + ix0,
-              sizeof(float) * kNr);
-  return true;
-}
-
-// Gathers op(B)(p, j..j+count) for patch tap t into dst, starting at
-// column cursor `cur` (taken by value; the caller advances its own copy).
-// Walks output pixels row by row; per output row the in-image ox range is
-// solved arithmetically, so interior rows reduce to a contiguous copy
-// (stride 1) or a strided pickup, and padding taps write plain zeros.
-inline void gather_row(const PackSource& ps, const PatchTap& t, ColCursor cur,
-                       int count, float* dst) {
-  if (count == kNr && gather_chunk_interior(ps, t, cur, dst)) return;
-  while (count > 0) {
-    const int run = std::min(count, ps.out_w - cur.ox);
-    const int iy = cur.oy * ps.stride + t.ky - ps.pad;
-    if (iy < 0 || iy >= ps.h) {
-      std::fill(dst, dst + run, 0.f);
-    } else {
-      // First input column this run touches: ix(i) = ix0 + i*stride.
-      const int ix0 = cur.ox * ps.stride + t.kx - ps.pad;
-      int lo = ix0 >= 0 ? 0 : (-ix0 + ps.stride - 1) / ps.stride;
-      int hi = ix0 < ps.w ? (ps.w - 1 - ix0) / ps.stride + 1 : 0;
-      lo = std::min(lo, run);
-      hi = std::clamp(hi, lo, run);
-      const float* src =
-          ps.base + static_cast<std::size_t>(cur.item) * ps.item_stride +
-          (static_cast<std::size_t>(t.c) * ps.h + iy) * ps.w + ix0;
-      std::fill(dst, dst + lo, 0.f);
-      if (ps.stride == 1) {
-        std::memcpy(dst + lo, src + lo,
-                    static_cast<std::size_t>(hi - lo) * sizeof(float));
-      } else {
-        for (int i = lo; i < hi; ++i) dst[i] = src[i * ps.stride];
-      }
-      std::fill(dst + hi, dst + run, 0.f);
-    }
-    dst += run;
-    count -= run;
-    cur.ox += run;
-    if (cur.ox == ps.out_w) {
-      cur.ox = 0;
-      if (++cur.oy == ps.out_h) {
-        cur.oy = 0;
-        ++cur.item;
-      }
-    }
-  }
-}
-
-// Implicit twin of pack_b: stages op(B) rows [pc, pc+kc) x columns
-// [j0, j0+nw) into kNr-column panels, gathering each panel row from the
-// image instead of a staged column matrix. Identical panel bytes, and the
-// staged lowering's pass over the column matrix never happens.
-void pack_b_implicit(const PackSource& ps, int pc, int kc, int j0, int nw,
-                     float* bp) {
-  // Row-outer: one tap decomposition per op(B) row, one cursor divide per
-  // call, and the cursor advances panel to panel without dividing. The
-  // panel bytes land in the same positions as the panel-outer order.
-  const ColCursor start = col_cursor(ps, j0);
-  PatchTap t = patch_tap(ps, pc);
-  for (int kk = 0; kk < kc; ++kk, next_tap(ps, t)) {
-    ColCursor cur = start;
-    float* dst = bp + static_cast<std::size_t>(kk) * kNr;
-    for (int jp = 0; jp < nw; jp += kNr) {
-      const int nr = std::min(kNr, nw - jp);
-      gather_row(ps, t, cur, nr, dst);
-      for (int j = nr; j < kNr; ++j) dst[j] = 0.f;
-      advance(ps, cur, nr);
-      dst += static_cast<std::size_t>(kc) * kNr;  // same row, next panel
-    }
-  }
-  ADVP_OBS_COUNT(kGemmPackBytes,
-                 static_cast<std::uint64_t>(kc) * round_up(nw, kNr) *
-                     sizeof(float));
-}
-
-// Gathers the full dense [k x n] column matrix for the tiny-product naive
-// fallback (same bits: naive_gemm on this buffer reads exactly the
-// elements im2col_lower would have staged).
-void gather_dense(const PackSource& ps, int k, int n, float* dst) {
-  PatchTap t = patch_tap(ps, 0);
-  for (int p = 0; p < k; ++p, next_tap(ps, t))
-    gather_row(ps, t, ColCursor{0, 0, 0}, n,
-               dst + static_cast<std::size_t>(p) * n);
 }
 
 // ---- micro-kernels ---------------------------------------------------------
@@ -738,9 +565,8 @@ void pack_a_int8(const std::int8_t* st, bool trans_a, int m, int k,
 }
 
 // Byte-transposes four kNr-byte k rows (each XORed with `flip`) into kNr
-// 4-byte column quads — the int8 B panel's hot layout. Shared by the
-// staged packer (rows point into the int8 staging image) and the implicit
-// packer (rows quantized straight off the image gather).
+// 4-byte column quads — the int8 B panel's hot layout. The rows point
+// into pack_b_int8's int8 staging image.
 inline void interleave_quad(const std::int8_t* s0, const std::int8_t* s1,
                             const std::int8_t* s2, const std::int8_t* s3,
                             std::uint8_t flip, std::int8_t* dst) {
@@ -846,62 +672,6 @@ void pack_b_int8(const std::int8_t* st, bool trans_b, int k, int n, int j0,
                         flip)
                   : std::int8_t{0};
         }
-    }
-  }
-  ADVP_OBS_COUNT(kGemmPackBytes,
-                 static_cast<std::uint64_t>(kpad) * round_up(nw, kNr));
-}
-
-// Implicit twin of the activation stage-then-pack (weights_in_a == true):
-// gather each k row in fp32, quantize under the per-tensor scale with the
-// same backend-independent quantize_run stage_b_int8 uses, and interleave
-// k quads with the +128 bias on in-range bytes. In-image padding zeros
-// quantize to 0 and flip to 0x80 exactly like staged column-matrix zeros;
-// panel padding (columns past nw, k rows past k) stays raw 0 so it meets
-// the weight operand's zero padding — byte-identical panels, and the
-// dense fp32 column matrix plus its int8 staging copy never exist.
-void pack_b_int8_implicit(const PackSource& ps, int k, int j0, int nw,
-                          float inv, std::int8_t* bp) {
-  const int kpad = round_up(k, 4);
-  // Quad-outer with an incremental cursor, like pack_b_implicit: one tap
-  // walk per k row, one cursor divide per call.
-  const ColCursor start = col_cursor(ps, j0);
-  PatchTap tap = patch_tap(ps, 0);
-  for (int kq = 0; kq < kpad / 4; ++kq) {
-    PatchTap taps[4];
-    for (int t = 0; t < 4; ++t) {
-      taps[t] = tap;
-      if (4 * kq + t < k - 1) next_tap(ps, tap);
-    }
-    ColCursor cur = start;
-    std::int8_t* dst = bp + static_cast<std::size_t>(kq) * kNr * 4;
-    for (int jp = 0; jp < nw; jp += kNr) {
-      const int nr = std::min(kNr, nw - jp);
-      std::int8_t q[4][kNr];
-      for (int t = 0; t < 4; ++t) {
-        const int kk = 4 * kq + t;
-        if (kk >= k) continue;
-        float tmp[kNr];
-        gather_row(ps, taps[t], cur, nr, tmp);
-        quantize_run(tmp, static_cast<std::size_t>(nr), inv, q[t]);
-      }
-      if (nr == kNr && 4 * kq + 3 < k) {
-        // Full panel, all four k rows in range: every byte takes the
-        // +128 bias, so the staged packer's SIMD transpose applies as-is.
-        interleave_quad(q[0], q[1], q[2], q[3], 0x80u, dst);
-      } else {
-        for (int j = 0; j < kNr; ++j)
-          for (int t = 0; t < 4; ++t) {
-            const int kk = 4 * kq + t;
-            dst[j * 4 + t] =
-                (j < nr && kk < k)
-                    ? static_cast<std::int8_t>(
-                          static_cast<std::uint8_t>(q[t][j]) ^ 0x80u)
-                    : std::int8_t{0};
-          }
-      }
-      advance(ps, cur, nr);
-      dst += static_cast<std::size_t>(kpad) * kNr;  // same quad, next panel
     }
   }
   ADVP_OBS_COUNT(kGemmPackBytes,
@@ -1135,14 +905,12 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
       w_scales = scales;
       w_comp = comp;
     }
-  } else if (!extra.b_pack) {
+  } else {
     std::int8_t* st = static_cast<std::int8_t*>(
         main_arena.alloc_bytes(static_cast<std::size_t>(k) * n));
     stage_b_int8(b, ldb, trans_b, k, n, nullptr, act_inv, st);
     b_stage = st;
   }
-  // With an implicit op(B) the activation staging copy is skipped entirely;
-  // each stripe quantizes straight out of the image inside run_stripe.
 
   const std::size_t macs =
       static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
@@ -1172,10 +940,7 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
     } else {
       std::int8_t* buf = static_cast<std::int8_t*>(arena.alloc_bytes(
           static_cast<std::size_t>(kpad) * nw_pad));
-      if (extra.b_pack)
-        pack_b_int8_implicit(*extra.b_pack, k, j0, nw, act_inv, buf);
-      else
-        pack_b_int8(b_stage, trans_b, k, n, j0, nw, /*biased=*/wa, buf);
+      pack_b_int8(b_stage, trans_b, k, n, j0, nw, /*biased=*/wa, buf);
       bp = buf;
     }
     alignas(64) std::int32_t acc[kMr * kNr];
@@ -1248,17 +1013,6 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
   const std::size_t macs =
       static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
   ADVP_OBS_COUNT(kMatmulFlops, 2 * static_cast<std::uint64_t>(macs));
-  if (const PackSource* ps = extra.b_pack) {
-    ADVP_CHECK_MSG(!trans_b, "gemm: b_pack requires trans_b == false");
-    ADVP_CHECK_MSG(!extra.b_cache, "gemm: b_pack excludes b_cache");
-    ADVP_CHECK_MSG(k == ps->c_in * ps->kernel * ps->kernel,
-                   "gemm: b_pack patch size does not match k");
-    ADVP_CHECK_MSG(n == ps->items * ps->out_h * ps->out_w,
-                   "gemm: b_pack output pixels do not match n");
-    ADVP_CHECK_MSG(
-        extra.precision != GemmPrecision::kInt8 || extra.weights_in_a,
-        "gemm: int8 b_pack requires weights_in_a");
-  }
   if (extra.precision == GemmPrecision::kInt8) {
     ADVP_CHECK_MSG(!accumulate, "gemm: int8 requires accumulate=false");
     ADVP_CHECK_MSG(extra.act_scale > 0.f,
@@ -1267,20 +1021,8 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
     return;
   }
   if (macs <= kNaiveMacLimit || n < 8) {
-    if (extra.b_pack) {
-      // Tiny products gather the dense column matrix and run the plain
-      // loop — the identical element set the staged caller would pass, so
-      // the naive path stays bit-exact with or without b_pack.
-      ScratchArena& arena = ScratchArena::local();
-      ScratchArena::Frame frame(arena);
-      float* bbuf = arena.alloc_floats(static_cast<std::size_t>(k) * n);
-      gather_dense(*extra.b_pack, k, n, bbuf);
-      naive_gemm(m, n, k, a, lda, trans_a, bbuf, n, /*trans_b=*/false, c,
-                 ldc, accumulate);
-    } else {
-      naive_gemm(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc,
-                 accumulate);
-    }
+    naive_gemm(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc,
+               accumulate);
     if (ep) apply_epilogue(*ep, c, ldc, 0, 0, m, n);
     return;
   }
@@ -1360,10 +1102,7 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
         bp = b_cached + static_cast<std::size_t>(npad) * pc +
              static_cast<std::size_t>(j0 / kNr) * kc * kNr;
       } else {
-        if (extra.b_pack)
-          pack_b_implicit(*extra.b_pack, pc, kc, j0, nw, bp_scratch);
-        else
-          pack_b(b, ldb, trans_b, pc, kc, j0, nw, bp_scratch);
+        pack_b(b, ldb, trans_b, pc, kc, j0, nw, bp_scratch);
         bp = bp_scratch;
       }
       // First k panel initializes C (unless accumulating); later panels
@@ -1427,11 +1166,6 @@ void bump_weight_generation() {
 bool pack_cache_enabled() {
   const int f = g_force_pack_cache.load(std::memory_order_relaxed);
   return f < 0 ? pack_cache_env_default() : f != 0;
-}
-
-bool implicit_im2col_enabled() {
-  const int f = g_force_im2col.load(std::memory_order_relaxed);
-  return f < 0 ? im2col_env_default() : f != 0;
 }
 
 int gemm_panel_mr() { return kMr; }
@@ -1570,10 +1304,6 @@ bool forcing_portable() {
 void force_pack_cache(int mode) {
   g_force_pack_cache.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
                            std::memory_order_relaxed);
-}
-void force_im2col(int mode) {
-  g_force_im2col.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
-                       std::memory_order_relaxed);
 }
 }  // namespace gemm_detail
 

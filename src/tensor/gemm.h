@@ -144,29 +144,6 @@ struct GemmCacheSlot {
   }
 };
 
-/// Implicit-im2col descriptor: the conv geometry gemm() needs to gather
-/// op(B) patch elements straight out of NCHW image storage while packing
-/// B panels, instead of reading a dense [k x n] column matrix a caller
-/// staged with the im2col lowering. Element (kk, j) of op(B) decomposes exactly
-/// like the staged lowering: kk -> (c, ky, kx) within the patch, j ->
-/// (item, oy, ox) within the batch of output pixels, value = x[item][c]
-/// [oy*stride + ky - pad][ox*stride + kx - pad] (zero outside the image).
-/// Because the packer gathers the same element multiset in the same panel
-/// order, and the k-accumulation order is untouched, results are
-/// bit-identical to the staged path on every tier — the staged lowering
-/// stays available as the oracle under ADVP_IM2COL=staged.
-struct PackSource {
-  const float* base = nullptr;  ///< item 0's [c_in, h, w] plane
-  std::size_t item_stride = 0;  ///< floats between consecutive items' planes
-  int items = 1;                ///< batch items stacked into one wide op(B)
-  int c_in = 0;                 ///< input channels
-  int h = 0, w = 0;             ///< input spatial dims
-  int kernel = 0;               ///< square kernel size
-  int stride = 1;
-  int pad = 0;
-  int out_h = 0, out_w = 0;  ///< conv output dims (out_h*out_w cols per item)
-};
-
 /// Optional extensions to a gemm() call.
 struct GemmExtra {
   GemmCacheSlot* a_cache = nullptr;  ///< pack-once cache for op(A)
@@ -183,13 +160,6 @@ struct GemmExtra {
   /// otherwise); a fixed scale keeps every output bit independent of
   /// worker count, stripe geometry, and the rest of the batch.
   float act_scale = 0.f;
-  /// Implicit-im2col source for op(B) (see PackSource). When set, `b` is
-  /// ignored (pass nullptr) and the pack step gathers patch elements
-  /// straight from the NCHW image. Requires trans_b == false semantics,
-  /// no b_cache, k == c_in*kernel*kernel, n == items*out_h*out_w, and —
-  /// for int8 — weights_in_a. Results are bit-identical to
-  /// staging the column matrix first.
-  const PackSource* b_pack = nullptr;
 };
 
 /// @brief C = op(A) * op(B), optionally accumulating into C.
@@ -221,14 +191,6 @@ void bump_weight_generation();
 /// started with ADVP_PACK_CACHE=0 (the kill-switch restores PR 3's
 /// pack-every-call behaviour) or when the test hook forces it off.
 bool pack_cache_enabled();
-
-/// @brief True when conv forwards (conv2d_forward_items) should hand
-/// gemm() a PackSource instead of staging each item's column matrix
-/// first. Off when the process started with ADVP_IM2COL=staged (or =0) —
-/// the kill-switch that restores the materialized-cols path — or when the
-/// test hook forces it off. The backward pass always stages regardless
-/// (gradients never ride the implicit path).
-bool implicit_im2col_enabled();
 
 // ---- packed-weight export / adoption (.advp model format) ------------------
 //
@@ -319,10 +281,6 @@ bool forcing_portable();
 /// @brief Test/bench hook overriding the ADVP_PACK_CACHE environment
 /// default: 0 forces the cache off, 1 forces it on, -1 restores the env.
 void force_pack_cache(int mode);
-
-/// @brief Test/bench hook overriding the ADVP_IM2COL environment default:
-/// 0 forces the staged path, 1 forces implicit, -1 restores the env.
-void force_im2col(int mode);
 }  // namespace gemm_detail
 
 }  // namespace advp

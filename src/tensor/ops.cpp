@@ -33,14 +33,12 @@ Tensor transpose(const Tensor& a) {
 namespace {
 
 // Lowers x [Cin,H,W] to columns: row p of the [Cin*K*K, Ho*Wo] column
-// matrix lands at cols[p*Ho*Wo ...]. Used by the backward pass and by the
-// staged forward (ADVP_IM2COL=staged), the implicit packer's oracle.
+// matrix lands at cols[p*Ho*Wo ...]. The one conv lowering: every forward
+// item and every backward item stages its columns here.
 void im2col_lower(const float* x, int c_in, int h, int w,
                   const Conv2dSpec& s, float* cols) {
   const int ho = s.out_h(h), wo = s.out_w(w);
   const int patch = c_in * s.kernel * s.kernel;
-  // Staged-lowering traffic. The implicit-GEMM conv path never runs this
-  // function, so a warm implicit forward leaves the counter at zero.
   ADVP_OBS_COUNT(kIm2colBytesStaged, static_cast<std::uint64_t>(patch) *
                                          ho * wo * sizeof(float));
   for (int p = 0; p < patch; ++p) {
@@ -101,33 +99,17 @@ void conv2d_forward_items(const float* x, int n, int h, int w,
   ADVP_OBS_COUNT(kConv2dFlops, 2ull * n * y_stride * patch);
 
   // Item columns are disjoint and every element keeps its ascending-k FMA
-  // chain, so per-item GEMMs give the same bits as any grouping. The
-  // implicit packer gathers the same element multiset, in the same panel
-  // order, as the staged lowering.
-  const bool implicit = implicit_im2col_enabled();
+  // chain, so per-item GEMMs give the same bits as any grouping. Each item
+  // stages its column matrix in the running thread's scratch arena.
   auto run_item = [&](std::size_t i) {
-    const float* xi = x + i * x_stride;
-    float* yi = y + i * y_stride;
-    if (implicit) {
-      const PackSource ps{xi,          x_stride,    /*items=*/1,
-                          c_in,        h,           w,
-                          spec.kernel, spec.stride, spec.pad,
-                          spec.out_h(h), spec.out_w(w)};
-      GemmExtra item_extra = extra;
-      item_extra.b_pack = &ps;
-      gemm(spec.out_channels, pixels, patch, weights, patch,
-           /*trans_a=*/false, /*b=*/nullptr, pixels, /*trans_b=*/false, yi,
-           pixels, /*accumulate=*/false, item_extra);
-      return;
-    }
     ScratchArena& arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
     float* cols =
         arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-    im2col_lower(xi, c_in, h, w, spec, cols);
+    im2col_lower(x + i * x_stride, c_in, h, w, spec, cols);
     gemm(spec.out_channels, pixels, patch, weights, patch, /*trans_a=*/false,
-         cols, pixels, /*trans_b=*/false, yi, pixels, /*accumulate=*/false,
-         extra);
+         cols, pixels, /*trans_b=*/false, y + i * y_stride, pixels,
+         /*accumulate=*/false, extra);
   };
   run_item(0);
   if (n > 1 && max_workers() > 1 && !in_parallel_region())

@@ -57,8 +57,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
 /// execution plans (nn/plan): one GEMM per batch item of x [n, Cin, h, w]
 /// with the weights [Cout, Cin*K*K] as op(A), written straight into
 /// y [n, Cout, Ho, Wo] through `extra` (weight cache, epilogue, tier).
-/// op(B) is gathered from x by the implicit-im2col packer, or lowered per
-/// item into scratch under ADVP_IM2COL=staged; both give the same bits.
+/// op(B) is each item's column matrix, lowered by im2col into the running
+/// thread's scratch arena (the same lowering conv2d_backward uses).
 /// Item 0 runs first on the calling thread so a cold weight slot fills
 /// exactly once; the remaining items then fan out over the worker pool,
 /// each GEMM serial inside the region, so any worker count gives the same

@@ -1,6 +1,6 @@
 // Execution-plan compiler: bit-identity of compiled plans against their
 // oracle, the eager walk under an InferenceModeScope, across precision
-// tiers, worker counts, batch sizes, and im2col modes; cache invalidation
+// tiers, worker counts, and batch sizes; cache invalidation
 // on weight-generation bumps; per-shape plan caching; and the
 // zero-steady-state-allocation contract.
 #include <gtest/gtest.h>
@@ -21,13 +21,10 @@
 namespace advp::nn {
 namespace {
 
-// Restores the plan and im2col hooks to their defaults on scope exit so
-// one test cannot leak a forced mode into the next.
+// Restores the plan hook to its default on scope exit so one test cannot
+// leak a forced mode into the next.
 struct HookGuard {
-  ~HookGuard() {
-    plan_detail::force_plan(-1);
-    gemm_detail::force_im2col(-1);
-  }
+  ~HookGuard() { plan_detail::force_plan(-1); }
 };
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
@@ -52,41 +49,37 @@ TEST(PlanBitIdentity, TinyYoloAcrossTiersWorkersBatches) {
   model.calibrate(random_batches(2, 2, 3, 48, 48, 70));  // enables int8
   const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
-    for (int im2col : {1, 0}) {
-      gemm_detail::force_im2col(im2col);
-      for (int batch : {1, 3, 8}) {
-        Rng xr(100 + batch);
-        const Tensor x = Tensor::rand({batch, 3, 48, 48}, xr);
-        // Oracle: the eager walk, single-threaded, plans off.
-        Tensor eager;
-        {
-          ScopedMaxWorkers workers(1);
-          plan_detail::force_plan(0);
-          InferenceModeScope inference;
-          PrecisionScope scope(tier);
-          eager = model.forward_raw(x, /*train=*/false);
-        }
-        // At fp32 the scopeless walk (the attack oracles' forward, which
-        // keeps its backward caches) gives the same bits too.
-        if (tier == GemmPrecision::kFp32) {
-          ScopedMaxWorkers workers(1);
-          PrecisionScope scope(tier);
-          Tensor cached = model.forward_raw(x, /*train=*/false);
-          EXPECT_TRUE(bitwise_equal(cached, eager))
-              << "scopeless vs scoped eager, batch " << batch;
-        }
-        plan_detail::force_plan(1);
-        for (int workers : {1, 4}) {
-          ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
-          InferenceModeScope inference;
-          PrecisionScope scope(tier);
-          ASSERT_NE(model.compile_plan(batch), nullptr);
-          Tensor planned = model.forward_raw(x, /*train=*/false);
-          EXPECT_TRUE(bitwise_equal(planned, eager))
-              << "plan vs eager: tier " << precision_name(tier)
-              << ", im2col " << im2col << ", batch " << batch
-              << ", workers " << workers;
-        }
+    for (int batch : {1, 3, 8}) {
+      Rng xr(100 + batch);
+      const Tensor x = Tensor::rand({batch, 3, 48, 48}, xr);
+      // Oracle: the eager walk, single-threaded, plans off.
+      Tensor eager;
+      {
+        ScopedMaxWorkers workers(1);
+        plan_detail::force_plan(0);
+        InferenceModeScope inference;
+        PrecisionScope scope(tier);
+        eager = model.forward_raw(x, /*train=*/false);
+      }
+      // At fp32 the scopeless walk (the attack oracles' forward, which
+      // keeps its backward caches) gives the same bits too.
+      if (tier == GemmPrecision::kFp32) {
+        ScopedMaxWorkers workers(1);
+        PrecisionScope scope(tier);
+        Tensor cached = model.forward_raw(x, /*train=*/false);
+        EXPECT_TRUE(bitwise_equal(cached, eager))
+            << "scopeless vs scoped eager, batch " << batch;
+      }
+      plan_detail::force_plan(1);
+      for (int workers : {1, 4}) {
+        ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+        InferenceModeScope inference;
+        PrecisionScope scope(tier);
+        ASSERT_NE(model.compile_plan(batch), nullptr);
+        Tensor planned = model.forward_raw(x, /*train=*/false);
+        EXPECT_TRUE(bitwise_equal(planned, eager))
+            << "plan vs eager: tier " << precision_name(tier) << ", batch "
+            << batch << ", workers " << workers;
       }
     }
   }
@@ -99,33 +92,29 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
   model.calibrate(random_batches(2, 2, 3, 48, 96, 80));
   const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
-    for (int im2col : {1, 0}) {
-      gemm_detail::force_im2col(im2col);
-      for (int batch : {1, 3, 8}) {
-        Rng xr(200 + batch);
-        const Tensor x = Tensor::rand({batch, 3, 48, 96}, xr);
-        // Oracle: predict() (which opens its own InferenceModeScope) on
-        // the eager walk, single-threaded, plans off.
-        std::vector<float> eager;
-        {
-          ScopedMaxWorkers workers(1);
-          plan_detail::force_plan(0);
-          ThreadPrecisionScope scope(tier);
-          eager = model.predict(x);
-        }
-        plan_detail::force_plan(1);
-        for (int workers : {1, 4}) {
-          ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
-          ThreadPrecisionScope scope(tier);
-          ASSERT_NE(model.compile_plan(batch), nullptr);
-          const std::vector<float> planned = model.predict(x);
-          ASSERT_EQ(planned.size(), eager.size());
-          for (std::size_t i = 0; i < eager.size(); ++i)
-            EXPECT_EQ(planned[i], eager[i])
-                << "item " << i << ": tier " << precision_name(tier)
-                << ", im2col " << im2col << ", batch " << batch
-                << ", workers " << workers;
-        }
+    for (int batch : {1, 3, 8}) {
+      Rng xr(200 + batch);
+      const Tensor x = Tensor::rand({batch, 3, 48, 96}, xr);
+      // Oracle: predict() (which opens its own InferenceModeScope) on
+      // the eager walk, single-threaded, plans off.
+      std::vector<float> eager;
+      {
+        ScopedMaxWorkers workers(1);
+        plan_detail::force_plan(0);
+        ThreadPrecisionScope scope(tier);
+        eager = model.predict(x);
+      }
+      plan_detail::force_plan(1);
+      for (int workers : {1, 4}) {
+        ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+        ThreadPrecisionScope scope(tier);
+        ASSERT_NE(model.compile_plan(batch), nullptr);
+        const std::vector<float> planned = model.predict(x);
+        ASSERT_EQ(planned.size(), eager.size());
+        for (std::size_t i = 0; i < eager.size(); ++i)
+          EXPECT_EQ(planned[i], eager[i])
+              << "item " << i << ": tier " << precision_name(tier)
+              << ", batch " << batch << ", workers " << workers;
       }
     }
   }

@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/check.h"
+#include "core/obs.h"
+#include "core/parallel.h"
 #include "core/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -197,6 +202,162 @@ TEST(ConvTest, WeightGradientMatchesNumeric) {
     const float num = (f(wp) - f(wm)) / (2.f * h);
     EXPECT_NEAR(g.dw[i], num, 5e-2f) << "at index " << i;
   }
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  return std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Reference conv forward built without conv2d_forward_items: per item, the
+// test's own [patch, pixels] column matrix (element (p, j) is the input
+// pixel patch entry p of output pixel j reads, zero outside the image)
+// times the weights through one plain gemm() with the bias epilogue.
+Tensor column_gemm_conv(const Tensor& x, const Tensor& w, const Tensor& b,
+                        const Conv2dSpec& s, GemmPrecision prec,
+                        float act_scale) {
+  const int n = x.dim(0), c_in = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int ho = s.out_h(h), wo = s.out_w(wd);
+  const int kk = s.kernel * s.kernel;
+  const int patch = c_in * kk, pixels = ho * wo;
+  GemmEpilogue epi;
+  epi.bias = b.data();
+  GemmExtra extra;
+  extra.epilogue = &epi;
+  extra.precision = prec;
+  extra.act_scale = act_scale;
+  Tensor y({n, s.out_channels, ho, wo});
+  std::vector<float> cols(static_cast<std::size_t>(patch) * pixels);
+  for (int i = 0; i < n; ++i) {
+    for (int p = 0; p < patch; ++p) {
+      const int c = p / kk, ky = (p % kk) / s.kernel, kx = p % s.kernel;
+      for (int oy = 0; oy < ho; ++oy)
+        for (int ox = 0; ox < wo; ++ox) {
+          const int iy = oy * s.stride + ky - s.pad;
+          const int ix = ox * s.stride + kx - s.pad;
+          cols[static_cast<std::size_t>(p) * pixels + oy * wo + ox] =
+              (iy >= 0 && iy < h && ix >= 0 && ix < wd) ? x.at(i, c, iy, ix)
+                                                        : 0.f;
+        }
+    }
+    gemm(s.out_channels, pixels, patch, w.data(), patch, /*trans_a=*/false,
+         cols.data(), pixels, /*trans_b=*/false,
+         y.data() + static_cast<std::size_t>(i) * s.out_channels * pixels,
+         pixels, /*accumulate=*/false, extra);
+  }
+  return y;
+}
+
+struct Geo {
+  int c_in, h, w, kernel, stride, pad;
+  const char* name;
+};
+
+// The one conv lowering against the column-matrix reference, bit for bit,
+// for one geometry x tier (fp32, calibrated int8) x batch (1, 3) x worker
+// count (1, 4). Each call runs cold on a fresh weight-cache slot.
+void expect_forward_matches_columns(const Geo& g, int c_out, Rng& rng) {
+  const Conv2dSpec spec{g.c_in, c_out, g.kernel, g.stride, g.pad};
+  const Tensor w = Tensor::randn({c_out, g.c_in, g.kernel, g.kernel}, rng);
+  const Tensor b = Tensor::randn({c_out}, rng);
+  for (int batch : {1, 3}) {
+    // Signed inputs so int8 quantization sees both polarities.
+    Tensor x = Tensor::rand({batch, g.c_in, g.h, g.w}, rng);
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = x[i] * 2.f - 1.f;
+    for (GemmPrecision prec : {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
+      const float act_scale =
+          prec == GemmPrecision::kInt8 ? x.abs_max() / 127.f : 0.f;
+      Tensor expected;
+      {
+        ScopedMaxWorkers serial(1);
+        expected = column_gemm_conv(x, w, b, spec, prec, act_scale);
+      }
+      for (int workers : {1, 4}) {
+        ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+        GemmCacheSlot slot;
+        ConvFusion fusion;
+        fusion.weight_cache = &slot;
+        fusion.precision = prec;
+        fusion.act_scale = act_scale;
+        EXPECT_TRUE(bitwise_equal(conv2d_forward(x, w, b, spec, &fusion),
+                                  expected))
+            << g.name << ", tier " << precision_name(prec) << ", batch "
+            << batch << ", workers " << workers;
+      }
+    }
+  }
+}
+
+// The three cases below keep the suite names they had when an implicit
+// (gather-in-the-packer) lowering still ran beside the staged one; each
+// now pins the one staged lowering against the test-built reference.
+
+// Conv geometries: stride 2, pad 0/1, 1x1 and 5x5 kernels, non-square
+// inputs.
+TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
+  const Geo geos[] = {
+      {5, 16, 16, 3, 1, 1, "k3s1p1"},
+      {5, 17, 13, 3, 2, 1, "k3s2p1 non-square"},
+      {5, 12, 20, 1, 1, 0, "k1s1p0"},
+      {4, 9, 9, 5, 2, 2, "k5s2p2"},
+  };
+  Rng rng(11);
+  for (const Geo& g : geos) expect_forward_matches_columns(g, 24, rng);
+}
+
+// A product small enough for the fp32 naive fallback (n < 8) stays
+// bit-exact too.
+TEST(ImplicitGemmPack, NaiveFallbackGathersIdenticalDenseMatrix) {
+  Rng rng(13);
+  expect_forward_matches_columns({2, 2, 3, 3, 1, 1, "6 output pixels"}, 4,
+                                 rng);
+}
+
+// The fused eager forward (ConvFusion with a weight-cache slot) matches the
+// reference cold and warm, and in fp32 matches the unfused eager forward.
+TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
+  Rng rng(21);
+  expect_forward_matches_columns({3, 20, 20, 3, 1, 1, "k3s1p1 20x20"}, 8,
+                                 rng);
+  const Conv2dSpec spec{3, 8, 3, 1, 1};
+  const Tensor w = Tensor::rand({8, 3, 3, 3}, rng);
+  const Tensor b = Tensor::rand({8}, rng);
+  const Tensor x = Tensor::rand({3, 3, 20, 20}, rng);
+  for (int workers : {1, 4}) {
+    ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+    const Tensor unfused = conv2d_forward(x, w, b, spec);
+    GemmCacheSlot slot;
+    ConvFusion fusion;
+    fusion.weight_cache = &slot;
+    const Tensor cold = conv2d_forward(x, w, b, spec, &fusion);
+    const Tensor warm = conv2d_forward(x, w, b, spec, &fusion);
+    EXPECT_TRUE(bitwise_equal(cold, unfused)) << "workers " << workers;
+    EXPECT_TRUE(bitwise_equal(warm, unfused)) << "workers " << workers;
+  }
+}
+
+// Forward and backward share the one staged lowering: each must tick the
+// im2col_bytes_staged counter (unless ADVP_TRACE=0 forces tracing off).
+TEST(ConvTest, ForwardAndBackwardStageIm2col) {
+  Rng rng(33);
+  const Conv2dSpec spec{3, 6, 3, 1, 1};
+  const Tensor x = Tensor::rand({2, 3, 12, 12}, rng);
+  const Tensor w = Tensor::rand({6, 3, 3, 3}, rng);
+  const Tensor b = Tensor::rand({6}, rng);
+  const Tensor dy = Tensor::rand({2, 6, 12, 12}, rng);
+  obs::enable();
+  const std::uint64_t before_fwd =
+      obs::counter_value(obs::Counter::kIm2colBytesStaged);
+  conv2d_forward(x, w, b, spec);
+  const std::uint64_t before_bwd =
+      obs::counter_value(obs::Counter::kIm2colBytesStaged);
+  conv2d_backward(x, w, dy, spec);
+  const std::uint64_t after_bwd =
+      obs::counter_value(obs::Counter::kIm2colBytesStaged);
+  obs::enable(false);
+  if (obs::trace_disabled()) return;
+  EXPECT_GT(before_bwd, before_fwd) << "forward staged no im2col bytes";
+  EXPECT_GT(after_bwd, before_bwd) << "backward staged no im2col bytes";
 }
 
 TEST(PoolTest, MaxPoolPicksMaxAndRoutesGradient) {

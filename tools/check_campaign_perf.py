@@ -21,10 +21,11 @@ Machine-independent (hard, every runner):
 
 Machine-keyed throughput floor (lockstep_vs_serial = lockstep cohort-8
 scenarios/second over the 1-worker run_batch loop): stacking C lanes into
-one batch-C forward feeds the GEMM kernels C-fold wider work — enough
-parallel columns to use several cores, which is the point of lockstep. A
-single-core runner cannot show that win (batch-C im2col even costs a
-little locality), so the floor follows the recorded `max_workers` per
+one batch-C forward whose conv layers fan C per-item im2col + GEMM steps
+out over the worker pool — enough parallel work to use several cores,
+which is the point of lockstep. A single-core runner cannot show that win
+(the batch runs the same per-item work one lane after another), so the
+floor follows the recorded `max_workers` per
 perf_common.FLOOR_BY_WORKERS:
 
     >= 4 workers: 2.0        (the ISSUE's gate: lockstep >= 2x run_batch)

@@ -27,20 +27,15 @@ One section gates the int8 inference tier:
   calibrated activation scale) must clear INT8_SPEEDUP_MIN on every
   committed shape, baseline-relative on top.
 
-Two sections gate the convolution fast paths:
+One section gates the compiled inference path:
 
 - "plan": whole-model inference through a compiled nn::ExecPlan vs its
   oracle, the eager walk (eager_ms), both warm and single-threaded.
   plan_speedup must clear PLAN_SPEEDUP_MIN on every committed model.
-- "conv": implicit-GEMM convolution (pack_B gathers patches straight
-  from the NCHW image) vs the staged per-item im2col + gemm path, both
-  warm, single-threaded, with a bias-only epilogue. conv_implicit_speedup must clear CONV_IMPLICIT_MIN on
-  every committed conv shape, baseline-relative on top.
 
 Also asserts `identical: true` for every entry: the blocked kernel, the
 fused epilogue, the warm-cache path, the int8 tier (SIMD vs portable
-micro-kernel), the compiled plan (vs the eager walk), and the
-implicit-im2col packer (vs the staged column matrix) must all stay
+micro-kernel), and the compiled plan (vs the eager walk) must all stay
 bit-identical to their reference passes, on any runner. Exit code 1 on any failure.
 """
 import sys
@@ -52,9 +47,8 @@ FUSED_MIN = 1.15  # fused epilogue must beat separate passes by >= 15%
 PACK_REDUCTION_MIN = 0.80  # warm calls must skip >= 80% of packing bytes
 INT8_SPEEDUP_MIN = 1.50  # calibrated int8 must beat warm fp32 by >= 50%
 PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat the eager walk by >= 10%
-CONV_IMPLICIT_MIN = 1.15  # implicit im2col must beat staged by >= 15%
 
-SECTIONS = ("shapes", "fused", "warm_cache", "int8", "plan", "conv")
+SECTIONS = ("shapes", "fused", "warm_cache", "int8", "plan")
 
 
 def load_sections(path):
@@ -82,7 +76,6 @@ def main():
         ("warm_cache", "pack_bytes_reduction", PACK_REDUCTION_MIN, "warm cache"),
         ("int8", "speedup", INT8_SPEEDUP_MIN, "int8 tier"),
         ("plan", "plan_speedup", PLAN_SPEEDUP_MIN, "compiled plan"),
-        ("conv", "conv_implicit_speedup", CONV_IMPLICIT_MIN, "implicit im2col"),
     ):
         for name, b in sorted(base[section].items()):
             f = fresh[section].get(name)

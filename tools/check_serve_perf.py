@@ -19,10 +19,11 @@ Machine-independent (hard, every runner):
 
 Machine-keyed throughput floor (batched_vs_serial = batched_rps over the
 single-thread serial loop): coalescing turns eight batch-1 forwards into
-one batch-8 forward whose GEMMs have 8x the columns — enough parallel work
-to use several cores, which is the whole point of dynamic batching. A
-single-core runner cannot show that win (whole-batch im2col even hurts
-locality a little), so the floor follows the recorded `max_workers` per
+one batch-8 forward whose conv layers fan eight per-item im2col + GEMM
+steps out over the worker pool — enough parallel work to use several
+cores, which is the whole point of dynamic batching. A single-core runner
+cannot show that win (the batch runs the same per-item work one item
+after another), so the floor follows the recorded `max_workers` per
 perf_common.FLOOR_BY_WORKERS:
 
     >= 4 workers: 2.0        (the ISSUE's gate: batched >= 2x serial)
