@@ -1,39 +1,33 @@
-// Campaign-engine throughput: lockstep cohort execution versus the
-// pre-campaign status quo (AccSimulator::run_batch), plus the sharding
-// CLI. Emits a JSON object on stdout:
+// Campaign-engine throughput: CampaignEngine at 1 worker versus full
+// workers, plus the sharding CLI. Emits a JSON object on stdout:
 //
-//   {"schema": "advp.campaign_bench/1", "max_workers": 1, "scenarios": 30,
-//    "cohort": 8, "serial_sps": ..., "threaded_sps": ..., "lockstep_sps":
-//    ..., "lockstep_vs_serial": ..., "lockstep_vs_threaded": ...,
-//    "cohort_fill": ..., "p95_step_ms": ..., "identity_checked": 10,
-//    "identical": true, "lost": 0, "shard2_sps": ...,
-//    "shard_merge_identical": true}
+//   {"schema": "advp.campaign_bench/2", "max_workers": 4, "scenarios": 30,
+//    "serial_sps": ..., "engine_sps": ..., "engine_vs_serial": ...,
+//    "p95_step_ms": ..., "identity_checked": 10, "identical": true,
+//    "lost": 0, "shard2_sps": ..., "shard_merge_identical": true}
 //
 // Measurements (same clean matrix — noon lighting, 5 standard
 // trajectories, noise x1, no attack — so every path simulates the exact
 // same scenario streams):
-//  - serial_sps: run_batch pinned to 1 worker — one batch-1 forward per
-//    control step, the bit-identity reference and the pre-campaign cost;
-//  - threaded_sps: run_batch at full workers (thread-sharded, batch-1
-//    forwards) — what naive parallelism buys;
-//  - lockstep_sps: CampaignEngine, cohort 8, full workers — C lanes per
-//    batch-C forward through a precompiled plan;
+//  - serial_sps: CampaignEngine::run_range under ScopedMaxWorkers(1) — one
+//    runner, one batch-1 forward per control step;
+//  - engine_sps: the same run_range at full workers — one runner per
+//    worker, each on its own model clone;
 //  - shard2_sps: tools/advp_campaign --shards 2 wall clock, and
 //    shard_merge_identical checks its merged aggregate is byte-identical
-//    to the in-process lockstep aggregate.
+//    to the in-process engine aggregate.
 //
-// `identical` re-runs a slice with traces on and demands every lockstep
-// trace match the run_batch reference bit-for-bit; `lost` counts indices
-// that never reported. cohort_fill = steps / (batch_predicts * cohort):
-// near 1.0 means refill keeps cohorts full, near 1/C means the batch
-// degenerated to stale rows.
+// `identical` re-runs a slice at full workers with traces on and demands
+// every engine trace match a plain AccSimulator::run loop bit-for-bit;
+// `lost` counts indices that never reported. p95_step_ms is the engine's
+// p95 over per-scenario mean step times.
 //
 // Machine portability: scenarios/second is hardware-bound, so
 // tools/check_campaign_perf.py gates on the intra-run ratio
-// (lockstep_vs_serial) keyed to the recorded max_workers — batch-C
-// forwards feed the GEMM kernels' column parallelism, a win (>= 2x at
-// >= 4 workers) a single-core runner cannot show (the floor there only
-// rejects collapse) — and gates the determinism columns hard everywhere.
+// (engine_vs_serial) keyed to the recorded max_workers — scenarios are
+// independent, so runners scale with cores (>= 2x at >= 4 workers), a win
+// a single-core runner cannot show (the floor there only rejects
+// collapse) — and gates the determinism columns hard everywhere.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,7 +51,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kRepeats = 6;   // x5 trajectories = 30 scenarios
 constexpr std::uint64_t kIdentityN = 10;
-constexpr int kCohort = 8;
+constexpr std::uint64_t kWarmN = 4;
 constexpr std::uint64_t kSeed = 1234;
 
 // The clean matrix every measurement runs: identical to what
@@ -70,13 +64,6 @@ MatrixSpec bench_spec(std::uint64_t repeats) {
   spec.attacks = {AttackFamily::kNone};
   spec.repeats = repeats;
   return spec;
-}
-
-std::vector<AccScenario> scenario_list(const MatrixSpec& spec) {
-  std::vector<AccScenario> list;
-  for (std::uint64_t i = 0; i < spec.size(); ++i)
-    list.push_back(spec.at(i).scenario);
-  return list;
 }
 
 double seconds_since(Clock::time_point t0) {
@@ -107,80 +94,58 @@ int main() {
   models::DistNet model(models::DistNetConfig{}, rng);
   const MatrixSpec spec = bench_spec(kRepeats);
   const std::uint64_t n = spec.size();
-  const std::vector<AccScenario> scenarios = scenario_list(spec);
-  const AccRunOptions no_trace{/*record_trace=*/false, nullptr};
+  CampaignConfig cfg;
+  cfg.base_seed = kSeed;
 
-  // ---- serial reference (1 worker, batch-1 forwards) ----
+  // ---- one runner (1 worker, batch-1 forwards) ----
   double serial_sps;
   {
     ScopedMaxWorkers workers(1);
-    AccSimulator sim(model, data::DrivingSceneGenerator{});
-    sim.run_batch({scenarios[0]}, kSeed, nullptr, no_trace);  // warm
+    CampaignEngine engine(model, data::DrivingSceneGenerator{}, AccParams{},
+                          spec, cfg);
+    engine.run_range(0, kWarmN);
     const auto t0 = Clock::now();
-    sim.run_batch(scenarios, kSeed, nullptr, no_trace);
+    engine.run_range(0, n);
     serial_sps = static_cast<double>(n) / seconds_since(t0);
   }
 
-  // ---- thread-sharded run_batch (full workers, batch-1 forwards) ----
-  double threaded_sps;
+  // ---- one runner per worker ----
+  double engine_sps, p95_step_ms;
+  std::string engine_json;
   {
-    AccSimulator sim(model, data::DrivingSceneGenerator{});
-    const auto t0 = Clock::now();
-    sim.run_batch(scenarios, kSeed, nullptr, no_trace);
-    threaded_sps = static_cast<double>(n) / seconds_since(t0);
-  }
-
-  // ---- lockstep cohorts (full workers, batch-8 forwards) ----
-  double lockstep_sps, cohort_fill, p95_step_ms;
-  std::string lockstep_json;
-  {
-    CampaignConfig cfg;
-    cfg.cohort = kCohort;
-    cfg.base_seed = kSeed;
     CampaignEngine engine(model, data::DrivingSceneGenerator{}, AccParams{},
                           spec, cfg);
-    engine.run_range(0, std::min<std::uint64_t>(kCohort, n));  // warm
+    engine.run_range(0, kWarmN);
     const auto t0 = Clock::now();
     const CampaignAggregate agg = engine.run_range(0, n);
-    lockstep_sps = static_cast<double>(n) / seconds_since(t0);
-    lockstep_json = agg.to_json();
-    const std::uint64_t steps =
-        engine.progress().steps.load(std::memory_order_relaxed);
-    const std::uint64_t predicts =
-        engine.progress().batch_predicts.load(std::memory_order_relaxed);
-    cohort_fill = predicts ? static_cast<double>(steps) /
-                                 (static_cast<double>(predicts) * kCohort)
-                           : 0.0;
+    engine_sps = static_cast<double>(n) / seconds_since(t0);
+    engine_json = agg.to_json();
     p95_step_ms = engine.progress().p95_step_ms();
   }
 
-  // ---- bit-identity slice: lockstep traces vs the run_batch reference ----
+  // ---- bit-identity slice: engine traces vs a plain AccSimulator loop ----
   int lost = 0, wrong = 0;
   {
     const MatrixSpec id_spec = bench_spec(2);  // 10 scenarios
-    std::vector<AccScenario> id_list = scenario_list(id_spec);
-    id_list.resize(kIdentityN);
-    AccSimulator sim(model, data::DrivingSceneGenerator{});
-    ScopedMaxWorkers workers(1);
-    const std::vector<AccResult> ref = sim.run_batch(id_list, kSeed);
-
     std::vector<AccResult> got(kIdentityN);
     std::vector<int> seen(kIdentityN, 0);
-    CampaignConfig cfg;
-    cfg.cohort = kCohort;
-    cfg.base_seed = kSeed;
-    cfg.record_trace = true;
-    cfg.on_result = [&](const ScenarioPoint& p, const AccResult& r) {
+    CampaignConfig id_cfg = cfg;
+    id_cfg.record_trace = true;
+    id_cfg.on_result = [&](const ScenarioPoint& p, const AccResult& r) {
       got[p.index] = r;
       ++seen[p.index];
     };
     CampaignEngine engine(model, data::DrivingSceneGenerator{}, AccParams{},
-                          id_spec, cfg);
+                          id_spec, id_cfg);
     engine.run_range(0, kIdentityN);
+
+    AccSimulator sim(model, data::DrivingSceneGenerator{});
     for (std::uint64_t i = 0; i < kIdentityN; ++i) {
+      Rng srng(Rng::stream_seed(kSeed, i));
+      const AccResult ref = sim.run(id_spec.at(i).scenario, srng);
       if (seen[i] != 1)
         ++lost;
-      else if (!same_trace(got[i], ref[i]))
+      else if (!same_trace(got[i], ref))
         ++wrong;
     }
   }
@@ -194,12 +159,10 @@ int main() {
     char cmd[512];
     std::snprintf(cmd, sizeof cmd,
                   "%s --shards 2 --lighting 1 --noise 1 --attacks none "
-                  "--repeats %llu --seed %llu --cohort %d --quiet --out %s "
-                  "2> /dev/null",
+                  "--repeats %llu --seed %llu --quiet --out %s 2> /dev/null",
                   ADVP_CAMPAIGN_BIN,
                   static_cast<unsigned long long>(kRepeats),
-                  static_cast<unsigned long long>(kSeed), kCohort,
-                  out.c_str());
+                  static_cast<unsigned long long>(kSeed), out.c_str());
     const auto t0 = Clock::now();
     const int rc = std::system(cmd);
     const double secs = seconds_since(t0);
@@ -212,30 +175,27 @@ int main() {
       while (!shard_json.empty() &&
              (shard_json.back() == '\n' || shard_json.back() == '\r'))
         shard_json.pop_back();
-      shard_merge_identical = (shard_json == lockstep_json);
+      shard_merge_identical = (shard_json == engine_json);
     }
   }
 #endif
 
   std::printf(
-      "{\"schema\": \"advp.campaign_bench/1\", \"max_workers\": %zu, "
-      "\"scenarios\": %llu, \"cohort\": %d,\n"
-      " \"serial_sps\": %.3f, \"threaded_sps\": %.3f, "
-      "\"lockstep_sps\": %.3f,\n"
-      " \"lockstep_vs_serial\": %.3f, \"lockstep_vs_threaded\": %.3f, "
-      "\"cohort_fill\": %.3f, \"p95_step_ms\": %.3f,\n"
+      "{\"schema\": \"advp.campaign_bench/2\", \"max_workers\": %zu, "
+      "\"scenarios\": %llu,\n"
+      " \"serial_sps\": %.3f, \"engine_sps\": %.3f, "
+      "\"engine_vs_serial\": %.3f, \"p95_step_ms\": %.3f,\n"
       " \"identity_checked\": %llu, \"identical\": %s, \"lost\": %d, "
       "\"shard2_sps\": %.3f, \"shard_merge_identical\": %s}\n",
-      max_workers(), static_cast<unsigned long long>(n), kCohort, serial_sps,
-      threaded_sps, lockstep_sps, lockstep_sps / serial_sps,
-      lockstep_sps / threaded_sps, cohort_fill, p95_step_ms,
+      max_workers(), static_cast<unsigned long long>(n), serial_sps,
+      engine_sps, engine_sps / serial_sps, p95_step_ms,
       static_cast<unsigned long long>(kIdentityN),
       (wrong == 0 && lost == 0) ? "true" : "false", lost, shard2_sps,
       shard_merge_identical ? "true" : "false");
 
   run.manifest().set("scenarios", static_cast<double>(n));
   run.manifest().set("serial_sps", serial_sps);
-  run.manifest().set("lockstep_sps", lockstep_sps);
-  run.manifest().set("lockstep_vs_serial", lockstep_sps / serial_sps);
+  run.manifest().set("engine_sps", engine_sps);
+  run.manifest().set("engine_vs_serial", engine_sps / serial_sps);
   return 0;
 }

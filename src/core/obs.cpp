@@ -192,8 +192,6 @@ const char* counter_name(Counter c) {
     case Counter::kPlanArenaBytes: return "plan_arena_bytes";
     case Counter::kSimSteps: return "sim_steps";
     case Counter::kSimScenarios: return "sim_scenarios";
-    case Counter::kCampaignBatchItems: return "campaign_batch_items";
-    case Counter::kCampaignCohortRefills: return "campaign_cohort_refills";
     case Counter::kIm2colBytesStaged: return "im2col_bytes_staged";
     case Counter::kCount: break;
   }
@@ -537,7 +535,6 @@ std::string RunManifest::to_json() const {
     os << "      \"matrix\": " << quoted(campaigns[i].matrix) << ",\n";
     os << "      \"scenarios\": " << campaigns[i].scenarios << ",\n";
     os << "      \"shards\": " << campaigns[i].shards << ",\n";
-    os << "      \"cohort\": " << campaigns[i].cohort << ",\n";
     os << "      \"workers\": " << campaigns[i].workers << ",\n";
     os << "      \"scenarios_per_s\": " << num(campaigns[i].scenarios_per_s)
        << "\n    }";

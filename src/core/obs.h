@@ -95,8 +95,6 @@ enum class Counter : int {
   kPlanArenaBytes,      ///< bytes pre-allocated into plan buffer arenas
   kSimSteps,            ///< ACC control steps simulated (any path)
   kSimScenarios,        ///< ACC scenarios completed (any path)
-  kCampaignBatchItems,  ///< frames stacked into lockstep batched predicts
-  kCampaignCohortRefills,  ///< finished lockstep lanes refilled in place
   kIm2colBytesStaged,   ///< bytes materialized by im2col lowering (every
                         ///< conv forward and backward item)
   kCount
@@ -163,7 +161,6 @@ struct CampaignRecord {
   std::string matrix;            ///< regime-grid dims, e.g. "styles=3x traj=5"
   std::uint64_t scenarios = 0;   ///< scenarios completed
   std::uint64_t shards = 0;      ///< shard processes (0 = single-process)
-  std::uint64_t cohort = 0;      ///< lockstep cohort size
   std::uint64_t workers = 0;     ///< worker threads per process
   double scenarios_per_s = 0.0;  ///< end-to-end campaign throughput
 };

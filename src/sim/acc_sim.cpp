@@ -5,8 +5,6 @@
 
 #include "core/check.h"
 #include "core/obs.h"
-#include "core/parallel.h"
-#include "models/zoo.h"
 
 namespace advp::sim {
 
@@ -26,11 +24,6 @@ float longitudinal_accel(const AccParams& params, float gap_est, float v_ego,
   const float cruise_accel = 0.5f * (params.v_des - v_ego);
   accel = std::min(accel, cruise_accel);
   return std::clamp(accel, params.max_brake, params.max_accel);
-}
-
-float AccSimulator::control(float gap_est, float v_ego,
-                            float closing_speed) const {
-  return longitudinal_accel(params_, gap_est, v_ego, closing_speed);
 }
 
 AccStepper::AccStepper(const AccScenario& scenario, const AccParams& params,
@@ -131,32 +124,6 @@ AccResult AccSimulator::run(const AccScenario& sc, Rng& rng,
   ADVP_OBS_COUNT(kSimSteps, static_cast<std::uint64_t>(stepper.steps()));
   ADVP_OBS_COUNT(kSimScenarios, 1);
   return stepper.finish();
-}
-
-std::vector<AccResult> AccSimulator::run_batch(
-    const std::vector<AccScenario>& scenarios, std::uint64_t base_seed,
-    const ScenarioAttackFactory& attack_factory,
-    const AccRunOptions& options) {
-  const std::size_t n = scenarios.size();
-  std::vector<AccResult> out(n);
-  if (n == 0) return out;
-  // Worker-private perception clones (slot 0 simulates on perception_):
-  // model forwards cache activations inside the layers, so concurrent
-  // scenarios must not share one DistNet.
-  const bool parallel = n >= 2 && max_workers() > 1 && !in_parallel_region();
-  const std::size_t slots = parallel ? std::min(max_workers(), n) : 1;
-  std::vector<models::DistNet> clones;
-  clones.reserve(slots - 1);
-  for (std::size_t s = 1; s < slots; ++s)
-    clones.push_back(models::clone_distnet(perception_));
-  parallel_for_slotted(0, n, slots, [&](std::size_t slot, std::size_t i) {
-    models::DistNet& model = slot == 0 ? perception_ : clones[slot - 1];
-    AccSimulator sim(model, generator_, params_);
-    Rng rng(Rng::stream_seed(base_seed, i));
-    FrameHook hook = attack_factory ? attack_factory(i, model) : FrameHook();
-    out[i] = sim.run(scenarios[i], rng, hook, options);
-  });
-  return out;
 }
 
 }  // namespace advp::sim

@@ -10,9 +10,10 @@
 // collisions — showing how frame-level distance errors become hazards.
 //
 // The step state machine (filters, control law, physics, safety metrics)
-// lives in AccStepper so the serial loop here and the campaign engine's
-// lockstep lanes (sim/campaign.h) share one implementation and are
-// bit-identical by construction.
+// lives in AccStepper, so AccSimulator::run and any caller that drives its
+// own render/predict loop (perfbench's replay) share one implementation and
+// are bit-identical by construction. The campaign engine (sim/campaign.h)
+// fans AccSimulator::run out over scenarios.
 #pragma once
 
 #include <functional>
@@ -102,7 +103,7 @@ struct AccRunOptions {
 /// The per-scenario step state machine: everything between "prediction
 /// ready" and "physics advanced" (track filters, control law, trace append,
 /// lead maneuvers, kinematics, safety metrics). Rendering and perception
-/// stay outside so the campaign engine can batch them across lanes.
+/// stay outside, so a caller can batch them across several steppers.
 ///
 /// Usage: while (!done()) { pred = perceive(render(gap())); step(pred); }
 /// then finish(). Float-op order matches the original AccSimulator::run
@@ -141,13 +142,6 @@ class AccStepper {
   bool done_ = false;
 };
 
-/// Per-scenario attack builder for AccSimulator::run_batch: receives the
-/// scenario index and the worker's private DistNet (stateful attacks like
-/// CAP must query the same instance the simulator perceives with). Return
-/// nullptr for a clean run.
-using ScenarioAttackFactory =
-    std::function<FrameHook(std::size_t index, models::DistNet& perception)>;
-
 class AccSimulator {
  public:
   AccSimulator(models::DistNet& perception,
@@ -158,23 +152,11 @@ class AccSimulator {
                 const FrameHook& attack = nullptr,
                 const AccRunOptions& options = {});
 
-  /// Runs `scenarios` in parallel, one result per scenario. Scenario i
-  /// draws from Rng(Rng::stream_seed(base_seed, i)) and every worker
-  /// simulates on its own perception clone, so results are bit-identical
-  /// to serial run() calls on those streams at any worker count.
-  std::vector<AccResult> run_batch(
-      const std::vector<AccScenario>& scenarios, std::uint64_t base_seed,
-      const ScenarioAttackFactory& attack_factory = nullptr,
-      const AccRunOptions& options = {});
-
   const AccParams& params() const { return params_; }
   const data::DrivingSceneGenerator& generator() const { return generator_; }
   models::DistNet& perception() { return perception_; }
 
  private:
-  /// Longitudinal control law (desired-gap tracking with cruise limit).
-  float control(float gap_est, float v_ego, float closing_speed) const;
-
   models::DistNet& perception_;
   data::DrivingSceneGenerator generator_;
   AccParams params_;

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
+#include <climits>
 
 #include "attacks/cap.h"
 #include "attacks/gaussian.h"
@@ -68,10 +67,6 @@ bool parse_attack_family(const std::string& s, AttackFamily* out) {
     }
   }
   return false;
-}
-
-bool attack_family_stateful(AttackFamily f) {
-  return f == AttackFamily::kCap;
 }
 
 // ---- scenario matrix -------------------------------------------------------
@@ -185,9 +180,7 @@ void CampaignAggregate::merge(const CampaignAggregate& other) {
     n_attacks = other.n_attacks;
     cells.resize(other.cells.size());
   }
-  ADVP_CHECK_MSG(other.cells.empty() || (n_trajectories ==
-                                             other.n_trajectories &&
-                                         n_attacks == other.n_attacks),
+  ADVP_CHECK_MSG(other.cells.empty() || same_grid(other),
                  "CampaignAggregate::merge: mismatched regime grids");
   scenarios += other.scenarios;
   steps += other.steps;
@@ -348,12 +341,17 @@ bool CampaignAggregate::from_json(const std::string& json,
       !parse_u64_field(json, "n_trajectories", &n_traj) ||
       !parse_u64_field(json, "n_attacks", &n_att))
     return false;
+  // Both dims fit in int, so their product cannot overflow 64 bits; each
+  // cell "[a,b,c,d]" takes at least 9 bytes, so a grid the text cannot
+  // hold is rejected before the cell table is allocated.
+  if (n_traj > INT_MAX || n_att > INT_MAX) return false;
+  const std::uint64_t n_cells = n_traj * n_att;
+  if (n_cells > json.size() / 9) return false;
   a.n_trajectories = static_cast<int>(n_traj);
   a.n_attacks = static_cast<int>(n_att);
   if (!parse_u64_array(json, "gap_hist", a.gap_hist.data(), kGapBins) ||
       !parse_u64_array(json, "ttc_hist", a.ttc_hist.data(), kTtcBins))
     return false;
-  const std::size_t n_cells = n_traj * n_att;
   a.cells.resize(n_cells);
   const char* cur;
   if (!seek_key(json, "cells", &cur) || *cur != '[') return false;
@@ -404,16 +402,6 @@ double CampaignProgress::p95_step_ms() const {
 
 // ---- engine ----------------------------------------------------------------
 
-struct CampaignEngine::Lane {
-  bool active = false;
-  ScenarioPoint point;
-  Rng rng{0};
-  data::DrivingSceneGenerator gen;
-  data::SceneStyle style;
-  FrameHook hook;
-  std::optional<AccStepper> stepper;
-};
-
 CampaignEngine::CampaignEngine(models::DistNet& perception,
                                data::DrivingSceneGenerator generator,
                                AccParams acc_params, MatrixSpec spec,
@@ -423,15 +411,7 @@ CampaignEngine::CampaignEngine(models::DistNet& perception,
       acc_params_(acc_params),
       spec_(std::move(spec)),
       config_(std::move(config)) {
-  ADVP_CHECK_MSG(config_.cohort >= 1, "campaign cohort must be >= 1");
   ADVP_CHECK_MSG(spec_.size() > 0, "campaign matrix is empty");
-}
-
-data::DrivingSceneGenerator CampaignEngine::lane_generator(
-    const ScenarioPoint& p) const {
-  data::DrivingSceneParams params = generator_.params();
-  params.noise_sigma *= spec_.noise_scales[static_cast<std::size_t>(p.noise)];
-  return data::DrivingSceneGenerator(params);
 }
 
 FrameHook CampaignEngine::make_hook(AttackFamily f, std::uint64_t index,
@@ -440,7 +420,7 @@ FrameHook CampaignEngine::make_hook(AttackFamily f, std::uint64_t index,
     case AttackFamily::kNone:
       return nullptr;
     case AttackFamily::kGaussianNoise: {
-      // Lane-local stream, salted so attack noise never perturbs the
+      // Per-scenario stream, salted so attack noise never perturbs the
       // scene draws of the shared scenario stream.
       auto rng = std::make_shared<Rng>(
           Rng::stream_seed(config_.base_seed ^ kAttackSeedSalt, index));
@@ -470,157 +450,28 @@ FrameHook CampaignEngine::make_hook(AttackFamily f, std::uint64_t index,
   return nullptr;
 }
 
-AccResult CampaignEngine::run_scenario_serial(std::uint64_t i,
-                                              bool record_trace) {
+AccResult CampaignEngine::run_one(models::DistNet& model, std::uint64_t i,
+                                  bool record_trace) const {
   const ScenarioPoint p = spec_.at(i);
-  data::DrivingSceneGenerator gen = lane_generator(p);
-  AccSimulator sim(perception_, gen, acc_params_);
+  data::DrivingSceneParams params = generator_.params();
+  params.noise_sigma *= spec_.noise_scales[static_cast<std::size_t>(p.noise)];
+  AccSimulator sim(model, data::DrivingSceneGenerator(params), acc_params_);
   Rng rng(Rng::stream_seed(config_.base_seed, i));
   const FrameHook hook =
-      make_hook(spec_.attacks[static_cast<std::size_t>(p.attack)], i,
-                perception_);
+      make_hook(spec_.attacks[static_cast<std::size_t>(p.attack)], i, model);
   AccRunOptions opts;
   opts.record_trace = record_trace;
-  const LightingRegime regime =
+  const LightingRegime& regime =
       spec_.lighting[static_cast<std::size_t>(p.lighting)];
-  opts.style_transform = [regime](data::SceneStyle s) {
+  opts.style_transform = [&regime](data::SceneStyle s) {
     return apply_lighting(regime, s);
   };
   return sim.run(p.scenario, rng, hook, opts);
 }
 
-void CampaignEngine::run_eager_one(models::DistNet& model,
-                                   const ScenarioPoint& p,
-                                   CampaignAggregate& agg) {
-  data::DrivingSceneGenerator gen = lane_generator(p);
-  AccSimulator sim(model, gen, acc_params_);
-  Rng rng(Rng::stream_seed(config_.base_seed, p.index));
-  const FrameHook hook = make_hook(
-      spec_.attacks[static_cast<std::size_t>(p.attack)], p.index, model);
-  AccRunOptions opts;
-  opts.record_trace = config_.record_trace;
-  const LightingRegime regime =
-      spec_.lighting[static_cast<std::size_t>(p.lighting)];
-  opts.style_transform = [regime](data::SceneStyle s) {
-    return apply_lighting(regime, s);
-  };
-  const AccResult res = sim.run(p.scenario, rng, hook, opts);
-  agg.add(p, res);
-  progress_.completed.fetch_add(1, std::memory_order_relaxed);
-  progress_.steps.fetch_add(static_cast<std::uint64_t>(res.steps),
-                            std::memory_order_relaxed);
-  if (config_.on_result) {
-    std::lock_guard<std::mutex> lk(result_mutex_);
-    config_.on_result(p, res);
-  }
-}
-
-void CampaignEngine::finish_lane(Lane& lane, CampaignAggregate& agg) {
-  const AccResult res = lane.stepper->finish();
-  ADVP_OBS_COUNT(kSimSteps, static_cast<std::uint64_t>(res.steps));
-  ADVP_OBS_COUNT(kSimScenarios, 1);
-  agg.add(lane.point, res);
-  progress_.completed.fetch_add(1, std::memory_order_relaxed);
-  if (config_.on_result) {
-    std::lock_guard<std::mutex> lk(result_mutex_);
-    config_.on_result(lane.point, res);
-  }
-}
-
-void CampaignEngine::run_runner(models::DistNet& model,
-                                std::atomic<std::uint64_t>& next,
-                                std::uint64_t hi, CampaignAggregate& local) {
-  using Clock = std::chrono::steady_clock;
-  const int cohort = config_.lockstep ? std::max(1, config_.cohort) : 1;
-
-  // Pulls the next index into `lane`; stateful attack families run eagerly
-  // right here (they cannot join the cohort) and the pull continues.
-  auto pull = [&](Lane& lane) -> bool {
-    for (;;) {
-      const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= hi) return false;
-      progress_.dispatched.fetch_add(1, std::memory_order_relaxed);
-      const ScenarioPoint p = spec_.at(i);
-      const AttackFamily fam =
-          spec_.attacks[static_cast<std::size_t>(p.attack)];
-      if (!config_.lockstep || attack_family_stateful(fam)) {
-        run_eager_one(model, p, local);
-        continue;
-      }
-      lane.point = p;
-      lane.rng = Rng(Rng::stream_seed(config_.base_seed, i));
-      lane.gen = lane_generator(p);
-      lane.style =
-          apply_lighting(spec_.lighting[static_cast<std::size_t>(p.lighting)],
-                         lane.gen.sample_style(lane.rng));
-      lane.hook = make_hook(fam, i, model);
-      lane.stepper.emplace(p.scenario, acc_params_, config_.record_trace);
-      lane.active = true;
-      return true;
-    }
-  };
-
-  std::vector<Lane> lanes(static_cast<std::size_t>(cohort));
-  int active_n = 0;
-  for (auto& lane : lanes)
-    if (pull(lane)) ++active_n;
-  if (active_n == 0) return;
-
-  const auto& mc = model.config();
-  const std::size_t frame_elems =
-      static_cast<std::size_t>(3) * mc.height * mc.width;
-  // One batch-C plan per runner, compiled up front: finished lanes keep
-  // their stale frame in the batch (outputs ignored, per-item independence
-  // guarantees no cross-lane contamination), so the shape — and the plan —
-  // never changes even when the cohort goes ragged.
-  model.compile_plan(cohort);
-  Tensor batch({cohort, 3, mc.height, mc.width});
-
-  while (active_n > 0) {
-    const auto t0 = Clock::now();
-    int live = 0;
-    for (int c = 0; c < cohort; ++c) {
-      Lane& lane = lanes[static_cast<std::size_t>(c)];
-      if (!lane.active) continue;
-      ++live;
-      const float render_gap =
-          std::clamp(lane.stepper->gap(), lane.gen.params().min_distance,
-                     lane.gen.params().max_distance);
-      data::DrivingFrame frame =
-          lane.gen.render(render_gap, lane.style, lane.rng);
-      Tensor x = frame.image.to_batch();
-      if (lane.hook) x = lane.hook(x, frame.lead_box);
-      std::copy(x.data(), x.data() + frame_elems,
-                batch.data() + static_cast<std::size_t>(c) * frame_elems);
-    }
-    const std::vector<float> preds = model.predict(batch);
-    ADVP_OBS_COUNT(kCampaignBatchItems, static_cast<std::uint64_t>(live));
-    progress_.batch_predicts.fetch_add(1, std::memory_order_relaxed);
-    progress_.steps.fetch_add(static_cast<std::uint64_t>(live),
-                              std::memory_order_relaxed);
-    for (int c = 0; c < cohort; ++c) {
-      Lane& lane = lanes[static_cast<std::size_t>(c)];
-      if (!lane.active) continue;
-      lane.stepper->step(preds[static_cast<std::size_t>(c)]);
-      if (!lane.stepper->done()) continue;
-      finish_lane(lane, local);
-      if (pull(lane)) {
-        ADVP_OBS_COUNT(kCampaignCohortRefills, 1);
-      } else {
-        lane.active = false;
-        --active_n;
-      }
-    }
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        Clock::now() - t0)
-                        .count();
-    progress_.record_latency_us(static_cast<std::uint32_t>(
-        std::min<long long>(us, 0xffffffffLL)));
-  }
-}
-
 CampaignAggregate CampaignEngine::run_range(std::uint64_t lo,
                                             std::uint64_t hi) {
+  using Clock = std::chrono::steady_clock;
   ADVP_CHECK_MSG(lo <= hi && hi <= spec_.size(),
                  "CampaignEngine::run_range: bad range [" << lo << ", " << hi
                                                           << ")");
@@ -629,40 +480,46 @@ CampaignAggregate CampaignEngine::run_range(std::uint64_t lo,
   progress_.dispatched.store(0, std::memory_order_relaxed);
   progress_.completed.store(0, std::memory_order_relaxed);
   progress_.steps.store(0, std::memory_order_relaxed);
-  progress_.batch_predicts.store(0, std::memory_order_relaxed);
   progress_.latency_n.store(0, std::memory_order_relaxed);
   if (lo == hi) return total;
 
   ADVP_OBS_SPAN("campaign_range");
-  std::atomic<std::uint64_t> next{lo};
   const std::uint64_t n = hi - lo;
-  const bool parallel = n >= 2 && max_workers() > 1 && !in_parallel_region();
-  const std::size_t runners =
-      parallel ? static_cast<std::size_t>(
-                     std::min<std::uint64_t>(max_workers(), n))
-               : 1;
-  // Runner-private perception clones (runner 0 simulates on perception_):
+  const std::size_t slots =
+      n >= 2 && !in_parallel_region()
+          ? static_cast<std::size_t>(std::min<std::uint64_t>(max_workers(), n))
+          : 1;
+  // Runner-private perception clones (slot 0 simulates on perception_):
   // forwards cache activations inside the layers, so concurrent runners
   // must not share one DistNet.
   std::vector<models::DistNet> clones;
-  clones.reserve(runners - 1);
-  for (std::size_t s = 1; s < runners; ++s)
+  clones.reserve(slots - 1);
+  for (std::size_t s = 1; s < slots; ++s)
     clones.push_back(models::clone_distnet(perception_));
-  std::mutex merge_mutex;
-  auto run_one = [&](std::size_t slot) {
-    models::DistNet& model = slot == 0 ? perception_ : clones[slot - 1];
-    CampaignAggregate local(spec_);
-    run_runner(model, next, hi, local);
-    std::lock_guard<std::mutex> lk(merge_mutex);
-    total.merge(local);
-  };
-  if (runners <= 1)
-    run_one(0);
-  else
-    parallel_for_slotted(0, runners, runners,
-                         [&](std::size_t slot, std::size_t) {
-                           run_one(slot);
-                         });
+  std::vector<CampaignAggregate> partial(slots, total);
+  parallel_for_slotted(
+      static_cast<std::size_t>(lo), static_cast<std::size_t>(hi), slots,
+      [&](std::size_t slot, std::size_t i) {
+        progress_.dispatched.fetch_add(1, std::memory_order_relaxed);
+        models::DistNet& model = slot == 0 ? perception_ : clones[slot - 1];
+        const auto t0 = Clock::now();
+        const AccResult res = run_one(model, i, config_.record_trace);
+        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                            Clock::now() - t0)
+                            .count();
+        progress_.record_latency_us(static_cast<std::uint32_t>(
+            std::min<long long>(us / std::max(res.steps, 1), 0xffffffffLL)));
+        const ScenarioPoint p = spec_.at(i);
+        partial[slot].add(p, res);
+        progress_.completed.fetch_add(1, std::memory_order_relaxed);
+        progress_.steps.fetch_add(static_cast<std::uint64_t>(res.steps),
+                                  std::memory_order_relaxed);
+        if (config_.on_result) {
+          std::lock_guard<std::mutex> lk(result_mutex_);
+          config_.on_result(p, res);
+        }
+      });
+  for (const CampaignAggregate& part : partial) total.merge(part);
   return total;
 }
 

@@ -6,23 +6,19 @@
 // into system-level harm, so campaigns sweep *millions* of scenarios, not
 // dozens. Three layers make that affordable:
 //
-//  1. Lockstep cohort execution. A runner owns C scenario "lanes" and
-//     advances them together: each lane renders its frame (and applies its
-//     per-scenario FrameHook), the frames are stacked into one [C,3,H,W]
-//     batch, and a single batch-C DistNet::predict through a precompiled
-//     ExecPlan replaces C batch-1 calls. Finished lanes are refilled in
-//     place from a shared index counter; until then their rows hold stale
-//     frames (predictions ignored), so the batch shape — and therefore the
-//     compiled plan — never changes. Stateful attack families (CAP must
-//     query perception every frame) fall back to the eager per-scenario
-//     path on the same runner.
+//  1. Per-scenario fan-out. run_range hands [lo, hi) to
+//     parallel_for_slotted one index at a time, so load balances across
+//     skewed scenario lengths. Each index runs one AccSimulator::run on
+//     its runner's private DistNet (perception_ or a clone) with its own
+//     noise-scaled generator, Rng stream, attack hook and lighting
+//     transform, and folds into that runner's aggregate. CAP queries the
+//     same model instance it perceives with.
 //
 //     Determinism contract: scenario i draws from
-//     Rng(Rng::stream_seed(base_seed, i)) exactly as a serial run would,
-//     and batched forwards are bit-identical per item to batch-1 forwards
-//     (the serve/plan suites' contract) — so lockstep traces are
-//     bit-identical to run_scenario_serial(i) at any cohort size, worker
-//     count, or shard split.
+//     Rng(Rng::stream_seed(base_seed, i)) and runs the very recipe
+//     run_scenario_serial(i) runs, and forwards are bit-identical at any
+//     worker count — so traces are bit-identical to the serial oracle at
+//     any worker count or shard split.
 //
 //  2. Procedural scenario matrix + streaming aggregation. MatrixSpec
 //     decodes scenario(i) from a mixed-radix regime grid (lighting ×
@@ -56,9 +52,8 @@ namespace advp::sim::campaign {
 
 // ---- attack families -------------------------------------------------------
 
-/// Attack families a campaign can sweep. Stateless families run on the
-/// lockstep fast path; stateful ones (CAP keeps a patch and queries the
-/// model per frame) take the eager per-scenario fallback.
+/// Attack families a campaign can sweep. All run on the same per-scenario
+/// path; CAP keeps a patch and queries the runner's model every frame.
 enum class AttackFamily : int {
   kNone = 0,        ///< clean perception
   kGaussianNoise,   ///< per-frame sensor noise (paper eq. (1))
@@ -70,9 +65,6 @@ enum class AttackFamily : int {
 const char* attack_family_name(AttackFamily f);
 /// Parses attack_family_name output; returns false on unknown names.
 bool parse_attack_family(const std::string& s, AttackFamily* out);
-/// True for families that must query perception frame-by-frame and
-/// therefore cannot join a lockstep cohort.
-bool attack_family_stateful(AttackFamily f);
 
 // ---- scenario matrix -------------------------------------------------------
 
@@ -181,8 +173,14 @@ struct CampaignAggregate {
 
   /// Folds one finished scenario in.
   void add(const ScenarioPoint& point, const AccResult& r);
+  /// True when `other` has this aggregate's regime-grid dims. Shard
+  /// coordinators test it before merging an aggregate read off a pipe.
+  bool same_grid(const CampaignAggregate& other) const {
+    return n_trajectories == other.n_trajectories &&
+           n_attacks == other.n_attacks;
+  }
   /// Merges another partial (same matrix shape) in. Associative and
-  /// commutative; ADVP_CHECKs the cell-table shapes match.
+  /// commutative; ADVP_CHECKs same_grid unless `other` has no cell table.
   void merge(const CampaignAggregate& other);
 
   double collision_rate() const {
@@ -200,16 +198,17 @@ struct CampaignAggregate {
   /// Single-line JSON (floats printed with "%.9g" so float32 values
   /// round-trip exactly — the shard wire format).
   std::string to_json() const;
-  /// Parses to_json() output. Returns false on malformed input.
+  /// Parses to_json() output. Returns false on malformed input, including
+  /// grid dims above INT_MAX or more cells than the text could hold.
   static bool from_json(const std::string& json, CampaignAggregate* out);
 };
 
 // ---- engine ----------------------------------------------------------------
 
 struct CampaignConfig {
-  int cohort = 8;                  ///< lockstep lanes per runner
+  /// Ignored by the engine; the next benchmark revision deletes it.
+  int cohort = 8;
   std::uint64_t base_seed = 1234;  ///< scenario i uses stream_seed(seed, i)
-  bool lockstep = true;  ///< false = eager per-scenario path everywhere
   /// Record per-step traces and hand each finished result to on_result
   /// (called under an engine mutex, any runner thread). Off by default:
   /// campaigns aggregate only, keeping memory O(1) in scenario count.
@@ -218,16 +217,19 @@ struct CampaignConfig {
 };
 
 /// Shared progress counters, safe to read from a heartbeat thread while
-/// run_range is executing.
+/// run_range is executing. The latency ring holds one sample per finished
+/// scenario: its mean control-step wall time (wall_us / steps), so
+/// p95_step_ms() is the p95 over recent scenarios of that mean.
 struct CampaignProgress {
   static constexpr std::size_t kLatencyRing = 512;
 
   std::atomic<std::uint64_t> total{0};       ///< scenarios in the range
-  std::atomic<std::uint64_t> dispatched{0};  ///< indices handed to lanes
+  std::atomic<std::uint64_t> dispatched{0};  ///< indices claimed by runners
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> steps{0};
+  /// Never bumped by the engine; the next benchmark revision deletes it.
   std::atomic<std::uint64_t> batch_predicts{0};
-  /// Recent lockstep step latencies (us), lock-free ring.
+  /// Recent per-scenario mean step latencies (us), lock-free ring.
   std::array<std::atomic<std::uint32_t>, kLatencyRing> latency_us{};
   std::atomic<std::uint64_t> latency_n{0};
 
@@ -241,10 +243,10 @@ struct CampaignProgress {
   void record_latency_us(std::uint32_t us);
 };
 
-/// Runs matrix ranges against one perception model. Runner threads (one
-/// per worker, each on its own DistNet clone) pull scenario indices from a
-/// shared counter, so load balances across skewed scenario lengths while
-/// every per-scenario result stays bit-identical to a serial run.
+/// Runs matrix ranges against one perception model. Runners (one per
+/// worker, each on its own DistNet clone) claim scenario indices one at a
+/// time, so load balances across skewed scenario lengths while every
+/// per-scenario result stays bit-identical to a serial run.
 class CampaignEngine {
  public:
   CampaignEngine(models::DistNet& perception,
@@ -252,34 +254,31 @@ class CampaignEngine {
                  MatrixSpec spec, CampaignConfig config = {});
 
   /// Runs scenarios [lo, hi) of the matrix and returns their aggregate.
-  /// Memory is O(cohort x workers), independent of hi - lo.
+  /// Memory is O(workers): one model clone and one aggregate per runner,
+  /// independent of hi - lo.
   CampaignAggregate run_range(std::uint64_t lo, std::uint64_t hi);
   CampaignAggregate run_all() { return run_range(0, spec_.size()); }
 
-  /// The determinism oracle: runs scenario i exactly as the serial
-  /// single-scenario path would (same Rng stream, generator, style
-  /// transform, and attack hook as a lockstep lane). Lockstep traces must
-  /// be bit-identical to this.
-  AccResult run_scenario_serial(std::uint64_t i, bool record_trace = true);
+  /// The determinism oracle: runs scenario i on perception_ in the calling
+  /// thread, through the same recipe run_range fans out. Engine traces
+  /// must be bit-identical to this.
+  AccResult run_scenario_serial(std::uint64_t i, bool record_trace = true) {
+    return run_one(perception_, i, record_trace);
+  }
 
   const MatrixSpec& spec() const { return spec_; }
   const CampaignConfig& config() const { return config_; }
   CampaignProgress& progress() { return progress_; }
 
  private:
-  struct Lane;
-
-  /// Builds the FrameHook for scenario `index` of family `f` (lane-local
+  /// Builds the FrameHook for scenario `index` of family `f` (per-scenario
   /// RNG streams; CAP binds to `model`). Returns nullptr for kNone.
   FrameHook make_hook(AttackFamily f, std::uint64_t index,
                       models::DistNet& model) const;
-  data::DrivingSceneGenerator lane_generator(const ScenarioPoint& p) const;
-
-  void run_runner(models::DistNet& model, std::atomic<std::uint64_t>& next,
-                  std::uint64_t hi, CampaignAggregate& local);
-  void run_eager_one(models::DistNet& model, const ScenarioPoint& p,
-                     CampaignAggregate& agg);
-  void finish_lane(Lane& lane, CampaignAggregate& agg);
+  /// Runs scenario i on `model`: noise-scaled generator, its Rng stream,
+  /// its attack hook and its lighting transform, through AccSimulator::run.
+  AccResult run_one(models::DistNet& model, std::uint64_t i,
+                    bool record_trace) const;
 
   models::DistNet& perception_;
   data::DrivingSceneGenerator generator_;

@@ -6,9 +6,11 @@
 //    JSON for any partition and fold order), the kNoTtcEvent sentinel gets
 //    its own bucket, and to_json round-trips through from_json.
 //  - CampaignEngine: aggregates are bit-identical across shard splits
-//    (1/2/4 ranges) and worker counts; lockstep traces are bit-identical
-//    to the serial oracle across precision tiers x workers x cohort sizes;
-//    cohort refill under scenario-length skew loses nothing.
+//    (1/2/4 ranges) and worker counts; engine traces are bit-identical to
+//    an oracle built here from AccSimulator::run (and so is
+//    run_scenario_serial) across precision tiers x workers; scenario-length
+//    skew loses nothing; every finished scenario feeds the step-latency
+//    ring, CAP included.
 //  - tools/advp_campaign (via ADVP_CAMPAIGN_BIN): a healthy 2-shard run
 //    merges to the single-process aggregate; a chaos-killed shard makes
 //    the coordinator report the dead range and fail instead of silently
@@ -24,7 +26,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/obs.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "data/dataset.h"
@@ -215,12 +216,49 @@ TEST(CampaignAggregateTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(CampaignAggregate::from_json("", &out));
   EXPECT_FALSE(CampaignAggregate::from_json("{\"scenarios\": 3}", &out));
   EXPECT_FALSE(CampaignAggregate::from_json("not json at all", &out));
+
+  // A well-formed empty-grid aggregate ("cells":[]) with its grid dims
+  // swapped for `dims`.
+  const std::string empty = CampaignAggregate().to_json();
+  auto with_dims = [&empty](const std::string& dims) {
+    const std::size_t at = empty.find("\"n_trajectories\"");
+    const std::size_t end = empty.find(",\"gap_hist\"");
+    return empty.substr(0, at) + dims + empty.substr(end);
+  };
+  ASSERT_TRUE(CampaignAggregate::from_json(
+      with_dims("\"n_trajectories\":0,\"n_attacks\":0"), &out));
+  // 2^32 would truncate to 0 as an int and so match the empty cell list.
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_dims("\"n_trajectories\":4294967296,\"n_attacks\":0"), &out));
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_dims("\"n_trajectories\":0,\"n_attacks\":4294967296"), &out));
+  // Dims that fit in int but describe more cells than the text holds are
+  // rejected before any cell table is allocated.
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_dims("\"n_trajectories\":2147483647,\"n_attacks\":2147483647"),
+      &out));
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_dims("\"n_trajectories\":1000,\"n_attacks\":1000"), &out));
+}
+
+TEST(CampaignAggregateTest, SameGridComparesRegimeDims) {
+  const MatrixSpec spec = MatrixSpec::standard();
+  MatrixSpec fewer = spec;
+  fewer.attacks.pop_back();
+  MatrixSpec more_lighting = spec;  // lighting is not a cell-table axis
+  more_lighting.lighting.push_back({});
+  const CampaignAggregate a(spec);
+  EXPECT_TRUE(a.same_grid(CampaignAggregate(spec)));
+  EXPECT_TRUE(a.same_grid(CampaignAggregate(more_lighting)));
+  EXPECT_FALSE(a.same_grid(CampaignAggregate(fewer)));
+  EXPECT_FALSE(CampaignAggregate(fewer).same_grid(a));
+  EXPECT_FALSE(a.same_grid(CampaignAggregate()));
 }
 
 // ---- engine ---------------------------------------------------------------
 
 // Short trajectories keep each scenario to ~60-90 control steps so the
-// matrix sweeps below stay fast; mixed durations exercise lane refill.
+// matrix sweeps below stay fast; mixed durations skew runner load.
 std::vector<NamedScenario> short_trajectories() {
   AccScenario steady;
   steady.initial_gap = 30.f;
@@ -288,6 +326,8 @@ class CampaignEngineTest : public ::testing::Test {
     return results;
   }
 
+  void expect_engine_matches_direct(const MatrixSpec& spec);
+
   static models::DistNet* model_;
 };
 
@@ -314,11 +354,9 @@ TEST_F(CampaignEngineTest, ShardSplitAndWorkerCountInvariance) {
     EXPECT_EQ(hi.to_json(), whole_json);
   }
   {
-    // 4-way uneven split with a different cohort size.
+    // 4-way uneven split at a third worker count.
     ScopedMaxWorkers workers(2);
-    CampaignConfig cfg;
-    cfg.cohort = 3;
-    CampaignEngine engine = make_engine(spec, cfg);
+    CampaignEngine engine = make_engine(spec);
     CampaignAggregate merged = engine.run_range(0, 3);
     merged.merge(engine.run_range(3, 5));
     merged.merge(engine.run_range(5, 6));
@@ -346,71 +384,70 @@ void expect_traces_identical(const AccResult& got, const AccResult& want,
   EXPECT_EQ(got.collided, want.collided);
 }
 
-TEST_F(CampaignEngineTest, LockstepTracesMatchSerialAcrossWorkersAndCohorts) {
-  const MatrixSpec spec = small_spec();
-  const std::uint64_t n = spec.size();
-
-  // Serial oracle, computed once.
-  std::vector<AccResult> oracle;
-  {
-    CampaignEngine engine = make_engine(spec);
-    for (std::uint64_t i = 0; i < n; ++i)
-      oracle.push_back(engine.run_scenario_serial(i));
-  }
-
-  for (int workers : {1, 4})
-    for (int cohort : {1, 4, 8}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " cohort=" + std::to_string(cohort));
-      ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
-      CampaignConfig cfg;
-      cfg.cohort = cohort;
-      const std::vector<AccResult> got = run_collecting(spec, cfg);
-      for (std::uint64_t i = 0; i < n; ++i)
-        expect_traces_identical(got[i], oracle[i], i);
-    }
+// Clean regime grid over lighting x trajectory x noise scale (size 8): no
+// attack hook, so the oracle below needs nothing private to the engine.
+MatrixSpec clean_spec() {
+  MatrixSpec spec = small_spec();
+  spec.noise_scales = {1.f, 2.f};
+  spec.attacks = {AttackFamily::kNone};
+  return spec;
 }
 
-TEST_F(CampaignEngineTest, LockstepTracesMatchSerialAcrossPrecisionTiers) {
-  const MatrixSpec spec = small_spec();
-  const std::uint64_t n = spec.size();
+// Scenario i of `spec` run directly through AccSimulator::run: the
+// engine's stream seed, the noise scale on the default generator, and the
+// regime's lighting transform.
+AccResult simulate_directly(models::DistNet& model, const MatrixSpec& spec,
+                            std::uint64_t i) {
+  const ScenarioPoint p = spec.at(i);
+  data::DrivingSceneParams params;
+  params.noise_sigma *= spec.noise_scales[static_cast<std::size_t>(p.noise)];
+  AccSimulator sim(model, data::DrivingSceneGenerator(params), AccParams{});
+  Rng rng(Rng::stream_seed(CampaignConfig{}.base_seed, i));
+  const LightingRegime regime =
+      spec.lighting[static_cast<std::size_t>(p.lighting)];
+  AccRunOptions opts;
+  opts.style_transform = [regime](data::SceneStyle s) {
+    return apply_lighting(regime, s);
+  };
+  return sim.run(p.scenario, rng, nullptr, opts);
+}
 
-  for (GemmPrecision tier : {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
-    SCOPED_TRACE(precision_name(tier));
-    // Process-global scope: campaign runner threads inherit the tier.
-    nn::PrecisionScope scope(tier);
-    std::vector<AccResult> oracle;
-    {
-      CampaignEngine engine = make_engine(spec);
-      for (std::uint64_t i = 0; i < n; ++i)
-        oracle.push_back(engine.run_scenario_serial(i));
-    }
-    ScopedMaxWorkers scoped(4);
-    CampaignConfig cfg;
-    cfg.cohort = 8;
-    const std::vector<AccResult> got = run_collecting(spec, cfg);
+// Engine traces at 1 and 4 workers, and run_scenario_serial, all equal the
+// direct-simulation oracle in the current precision tier.
+void CampaignEngineTest::expect_engine_matches_direct(const MatrixSpec& spec) {
+  const std::uint64_t n = spec.size();
+  std::vector<AccResult> oracle;
+  for (std::uint64_t i = 0; i < n; ++i)
+    oracle.push_back(simulate_directly(*model_, spec, i));
+
+  CampaignEngine serial = make_engine(spec);
+  for (std::uint64_t i = 0; i < n; ++i)
+    expect_traces_identical(serial.run_scenario_serial(i), oracle[i], i);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+    const std::vector<AccResult> got = run_collecting(spec, {});
     for (std::uint64_t i = 0; i < n; ++i)
       expect_traces_identical(got[i], oracle[i], i);
   }
 }
 
-TEST_F(CampaignEngineTest, EagerPathMatchesLockstep) {
-  const MatrixSpec spec = small_spec();
-  const std::uint64_t n = spec.size();
-  std::string lockstep_json;
-  {
-    CampaignEngine engine = make_engine(spec);
-    lockstep_json = engine.run_range(0, n).to_json();
-  }
-  CampaignConfig cfg;
-  cfg.lockstep = false;
-  CampaignEngine engine = make_engine(spec, cfg);
-  EXPECT_EQ(engine.run_range(0, n).to_json(), lockstep_json);
+// The fp32 tier. PrecisionScope is process-global, so campaign runner
+// threads inherit the tier.
+TEST_F(CampaignEngineTest, EngineTracesMatchSerialAcrossWorkers) {
+  nn::PrecisionScope scope(GemmPrecision::kFp32);
+  expect_engine_matches_direct(clean_spec());
 }
 
-TEST_F(CampaignEngineTest, CohortRefillUnderLengthSkewLosesNothing) {
-  // 3 s vs 12 s trajectories: short lanes finish and refill several times
-  // while long lanes are still running.
+// The calibrated int8 tier; the case above covers fp32.
+TEST_F(CampaignEngineTest, EngineTracesMatchSerialAcrossPrecisionTiers) {
+  nn::PrecisionScope scope(GemmPrecision::kInt8);
+  expect_engine_matches_direct(clean_spec());
+}
+
+TEST_F(CampaignEngineTest, LengthSkewLosesNothing) {
+  // 3 s vs 12 s trajectories: runners that draw short scenarios claim
+  // several more indices while the long ones are still running.
   AccScenario quick;
   quick.initial_gap = 30.f;
   quick.v_ego = 16.f;
@@ -423,24 +460,27 @@ TEST_F(CampaignEngineTest, CohortRefillUnderLengthSkewLosesNothing) {
   spec.repeats = 4;  // size 8: interleaved quick/slow indices
   const std::uint64_t n = spec.size();
 
-  obs::reset();
-  obs::enable(true);
-  const std::uint64_t refills_before =
-      obs::counter_value(obs::Counter::kCampaignCohortRefills);
+  ScopedMaxWorkers workers(4);
+  // run_collecting checks every index reported exactly once.
+  const std::vector<AccResult> got = run_collecting(spec, {});
+  for (std::uint64_t i = 0; i < n; ++i)
+    expect_traces_identical(got[i], simulate_directly(*model_, spec, i), i);
+}
 
-  CampaignConfig cfg;
-  cfg.cohort = 4;
-  ScopedMaxWorkers workers(1);  // one runner: all 8 through one cohort
-  const std::vector<AccResult> got = run_collecting(spec, cfg);
-  obs::enable(false);
-
-  EXPECT_GT(obs::counter_value(obs::Counter::kCampaignCohortRefills),
-            refills_before);
-  CampaignEngine oracle_engine = make_engine(spec);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const AccResult want = oracle_engine.run_scenario_serial(i);
-    expect_traces_identical(got[i], want, i);
-  }
+TEST_F(CampaignEngineTest, CapScenariosRecordStepLatency) {
+  AccScenario brief;
+  brief.initial_gap = 30.f;
+  brief.duration = 0.5f;  // 5 control steps, each one CAP frame
+  MatrixSpec spec;
+  spec.trajectories = {{"brief", brief}};
+  spec.attacks = {AttackFamily::kCap};
+  spec.repeats = 2;
+  CampaignEngine engine = make_engine(spec);
+  EXPECT_EQ(engine.progress().p95_step_ms(), 0.0);
+  const CampaignAggregate agg = engine.run_range(0, spec.size());
+  EXPECT_EQ(agg.scenarios, 2u);
+  EXPECT_EQ(engine.progress().latency_n.load(), 2u);
+  EXPECT_GT(engine.progress().p95_step_ms(), 0.0);
 }
 
 // ---- the sharding CLI (coordinator + chaos) -------------------------------
@@ -457,7 +497,7 @@ std::string slurp(const std::string& path) {
 // Small matrix the CLI can finish quickly: 1 lighting x 5 trajectories x
 // 1 noise x {none} = 5 scenarios.
 std::string cli_args() {
-  return " --lighting 1 --noise 1 --attacks none --seed 99 --cohort 4";
+  return " --lighting 1 --noise 1 --attacks none --seed 99";
 }
 
 TEST(CampaignCliTest, TwoShardRunMergesToSingleProcessAggregate) {

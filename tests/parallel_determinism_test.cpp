@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "attacks/fgsm.h"
@@ -15,7 +16,7 @@
 #include "defenses/adv_train.h"
 #include "defenses/preprocess.h"
 #include "eval/harness.h"
-#include "sim/acc_sim.h"
+#include "sim/campaign.h"
 #include "tensor/ops.h"
 
 namespace advp {
@@ -290,59 +291,49 @@ TEST(ParallelDeterminismTest, AdversarialDatasetIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelDeterminismTest, AccRunBatchIdenticalToSerialRuns) {
+TEST(ParallelDeterminismTest, CampaignCapRunsIdenticalToSerialRuns) {
   Rng mrng(21);
   models::DistNet dist(models::DistNetConfig{}, mrng);
-  data::DrivingSceneGenerator gen;
-  std::vector<sim::AccScenario> scenarios(4);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    scenarios[i].duration = 1.2f;
-    scenarios[i].initial_gap = 25.f + 5.f * static_cast<float>(i);
+  sim::campaign::MatrixSpec spec;
+  spec.trajectories.clear();
+  for (int i = 0; i < 4; ++i) {
+    sim::AccScenario sc;
+    sc.duration = 1.2f;
+    sc.initial_gap = 25.f + 5.f * static_cast<float>(i);
+    spec.trajectories.push_back({"gap" + std::to_string(i), sc});
   }
-  // White-box FGSM on every frame, querying the worker's own model — the
-  // stateful-attack shape run_batch has to keep deterministic.
-  sim::ScenarioAttackFactory factory =
-      [](std::size_t, models::DistNet& m) -> sim::FrameHook {
-    return [&m](const Tensor& frame, const Box& box) {
-      auto oracle = [&m](const Tensor& x) {
-        m.zero_grad();
-        auto r = m.prediction_grad(x);
-        return attacks::LossGrad{r.loss, std::move(r.grad)};
-      };
-      Tensor mask = attacks::make_box_mask(frame.dim(2), frame.dim(3), box);
-      return attacks::fgsm(frame, {0.05f}, oracle, mask);
-    };
-  };
-  sim::AccSimulator simulator(dist, gen, sim::AccParams{});
-  // Serial reference: one run() per scenario on its own stream.
+  // CAP on every frame, querying the runner's own model: the stateful
+  // attack the engine has to keep deterministic across runners.
+  spec.attacks = {sim::campaign::AttackFamily::kCap};
+  const std::uint64_t n = spec.size();
+  sim::campaign::CampaignConfig cfg;
+  cfg.base_seed = 909;
+  cfg.record_trace = true;
+  std::vector<sim::AccResult> got(n);
+  cfg.on_result = [&got](const sim::campaign::ScenarioPoint& p,
+                         const sim::AccResult& r) { got[p.index] = r; };
+  sim::campaign::CampaignEngine engine(dist, data::DrivingSceneGenerator{},
+                                       sim::AccParams{}, spec, cfg);
+  // Serial reference: one run_scenario_serial per index on `dist` itself.
   std::vector<sim::AccResult> serial;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    Rng rng(Rng::stream_seed(909, i));
-    serial.push_back(simulator.run(scenarios[i], rng, factory(i, dist)));
-  }
-  std::vector<sim::AccResult> r1, r8;
-  {
-    ScopedMaxWorkers workers(1);
-    r1 = simulator.run_batch(scenarios, 909, factory);
-  }
-  {
-    ScopedMaxWorkers workers(8);
-    r8 = simulator.run_batch(scenarios, 909, factory);
-  }
-  ASSERT_EQ(r1.size(), serial.size());
-  ASSERT_EQ(r8.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    for (const auto* batch : {&r1[i], &r8[i]}) {
-      EXPECT_EQ(batch->min_gap, serial[i].min_gap) << "scenario " << i;
-      EXPECT_EQ(batch->min_ttc, serial[i].min_ttc) << "scenario " << i;
-      EXPECT_EQ(batch->mean_abs_gap_error, serial[i].mean_abs_gap_error);
-      EXPECT_EQ(batch->collided, serial[i].collided);
-      ASSERT_EQ(batch->trace.size(), serial[i].trace.size());
+  for (std::uint64_t i = 0; i < n; ++i)
+    serial.push_back(engine.run_scenario_serial(i));
+  for (std::size_t workers : {1, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ScopedMaxWorkers scoped(workers);
+    got.assign(n, sim::AccResult{});
+    EXPECT_EQ(engine.run_range(0, n).scenarios, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].min_gap, serial[i].min_gap) << "scenario " << i;
+      EXPECT_EQ(got[i].min_ttc, serial[i].min_ttc) << "scenario " << i;
+      EXPECT_EQ(got[i].mean_abs_gap_error, serial[i].mean_abs_gap_error);
+      EXPECT_EQ(got[i].collided, serial[i].collided);
+      ASSERT_EQ(got[i].trace.size(), serial[i].trace.size());
       for (std::size_t k = 0; k < serial[i].trace.size(); ++k) {
-        EXPECT_EQ(batch->trace[k].predicted_gap,
+        EXPECT_EQ(got[i].trace[k].predicted_gap,
                   serial[i].trace[k].predicted_gap)
             << "scenario " << i << " step " << k;
-        EXPECT_EQ(batch->trace[k].accel_cmd, serial[i].trace[k].accel_cmd);
+        EXPECT_EQ(got[i].trace[k].accel_cmd, serial[i].trace[k].accel_cmd);
       }
     }
   }

@@ -1,7 +1,7 @@
 // advp_campaign — fleet-scale scenario campaign CLI.
 //
 // Single-process:
-//   advp_campaign --scenarios 90 --cohort 8
+//   advp_campaign --scenarios 90
 // Multi-process (coordinator spawns contiguous-range shard workers):
 //   advp_campaign --shards 4 --scenarios 10000 --out out/campaign.json
 //
@@ -43,7 +43,6 @@ namespace {
 struct Options {
   int shards = 0;        // 0 = single-process
   int shard = -1;        // >= 0: run as this shard
-  int cohort = 8;
   std::uint64_t seed = 1234;
   std::uint64_t scenarios = 0;  // 0 = full matrix
   std::uint64_t repeats = 1;
@@ -52,7 +51,6 @@ struct Options {
   std::string noise = "1,2";
   std::string model_path;
   int train_epochs = 0;
-  bool eager = false;
   bool quiet = false;
   bool dry_run = false;
   std::string out;
@@ -64,7 +62,6 @@ void usage() {
       "usage: advp_campaign [options]\n"
       "  --shards N       spawn N shard processes (0 = run in-process)\n"
       "  --shard K        run as shard K of --shards (internal)\n"
-      "  --cohort C       lockstep lanes per runner (default 8)\n"
       "  --seed S         campaign base seed (default 1234)\n"
       "  --scenarios N    truncate the matrix to its first N scenarios\n"
       "  --repeats R      repeats dimension of the matrix (default 1)\n"
@@ -75,7 +72,6 @@ void usage() {
       "                   seed-deterministic across shards)\n"
       "  --train E        train the model for E epochs, save as .advp,\n"
       "                   and campaign against it (implies --model path)\n"
-      "  --eager          disable lockstep batching (baseline/debug)\n"
       "  --dry-run        print matrix dims and scenario count, exit\n"
       "  --quiet          suppress heartbeat output\n"
       "  --out PATH       write the merged aggregate JSON to PATH\n");
@@ -94,7 +90,6 @@ bool parse_args(int argc, char** argv, Options* o) {
     const char* v = nullptr;
     if (a == "--shards" && (v = next("--shards"))) o->shards = std::atoi(v);
     else if (a == "--shard" && (v = next("--shard"))) o->shard = std::atoi(v);
-    else if (a == "--cohort" && (v = next("--cohort"))) o->cohort = std::atoi(v);
     else if (a == "--seed" && (v = next("--seed"))) o->seed = std::strtoull(v, nullptr, 10);
     else if (a == "--scenarios" && (v = next("--scenarios"))) o->scenarios = std::strtoull(v, nullptr, 10);
     else if (a == "--repeats" && (v = next("--repeats"))) o->repeats = std::strtoull(v, nullptr, 10);
@@ -104,7 +99,6 @@ bool parse_args(int argc, char** argv, Options* o) {
     else if (a == "--model" && (v = next("--model"))) o->model_path = v;
     else if (a == "--train" && (v = next("--train"))) o->train_epochs = std::atoi(v);
     else if (a == "--out" && (v = next("--out"))) o->out = v;
-    else if (a == "--eager") o->eager = true;
     else if (a == "--quiet") o->quiet = true;
     else if (a == "--dry-run") o->dry_run = true;
     else if (a == "--help" || a == "-h") { usage(); std::exit(0); }
@@ -112,7 +106,7 @@ bool parse_args(int argc, char** argv, Options* o) {
       std::fprintf(stderr, "advp_campaign: unknown option %s\n", a.c_str());
       return false;
     }
-    if (!v && a != "--eager" && a != "--quiet" && a != "--dry-run") return false;
+    if (!v && a != "--quiet" && a != "--dry-run") return false;
   }
   if (o->shard >= 0 && o->shards <= 0) {
     std::fprintf(stderr, "advp_campaign: --shard requires --shards\n");
@@ -219,9 +213,7 @@ camp::CampaignAggregate run_local(const Options& o,
                                   models::DistNet& model, std::uint64_t lo,
                                   std::uint64_t hi, double* scen_per_s) {
   camp::CampaignConfig cfg;
-  cfg.cohort = o.cohort;
   cfg.base_seed = o.seed;
-  cfg.lockstep = !o.eager;
 
   // Chaos hook (tests): shard ADVP_CAMPAIGN_CHAOS_ABORT_SHARD dies without
   // a final aggregate after ADVP_CAMPAIGN_CHAOS_ABORT_AFTER scenarios.
@@ -314,17 +306,16 @@ int run_coordinator(const Options& o, const camp::MatrixSpec& spec,
     shard_range(total, o.shards, k, &p.lo, &p.hi);
     char cmd[2048];
     std::snprintf(cmd, sizeof(cmd),
-                  "%s --shard %d --shards %d --cohort %d --seed %llu "
+                  "%s --shard %d --shards %d --seed %llu "
                   "--scenarios %llu --repeats %llu --lighting %d "
-                  "--attacks %s --noise %s%s%s%s%s",
-                  bin.c_str(), k, o.shards, o.cohort,
+                  "--attacks %s --noise %s%s%s%s",
+                  bin.c_str(), k, o.shards,
                   static_cast<unsigned long long>(o.seed),
                   static_cast<unsigned long long>(o.scenarios),
                   static_cast<unsigned long long>(o.repeats), o.lighting,
                   o.attacks.c_str(), o.noise.c_str(),
                   o.model_path.empty() ? "" : " --model ",
-                  o.model_path.c_str(), o.eager ? " --eager" : "",
-                  o.quiet ? " --quiet" : "");
+                  o.model_path.c_str(), o.quiet ? " --quiet" : "");
     p.pipe = ::popen(cmd, "r");
     if (!p.pipe) {
       std::fprintf(stderr, "[campaign] failed to spawn shard %d\n", k);
@@ -374,7 +365,8 @@ int run_coordinator(const Options& o, const camp::MatrixSpec& spec,
   }
 
   // Merge in shard order; a missing aggregate or nonzero exit is a dead
-  // shard — report its range, never silently merge the survivors.
+  // shard — report its range, never silently merge the survivors. So is an
+  // aggregate from a different regime grid: merging it would abort.
   bool dead = false;
   camp::CampaignAggregate result(spec);
   for (const ShardProc& p : procs) {
@@ -398,6 +390,15 @@ int run_coordinator(const Options& o, const camp::MatrixSpec& spec,
                    p.index,
                    static_cast<unsigned long long>(shard_agg.scenarios),
                    static_cast<unsigned long long>(expected));
+      dead = true;
+      continue;
+    }
+    if (!result.same_grid(shard_agg)) {
+      std::fprintf(stderr,
+                   "[campaign] SHARD %d GRID MISMATCH: %d x %d regime cells, "
+                   "expected %d x %d\n",
+                   p.index, shard_agg.n_trajectories, shard_agg.n_attacks,
+                   result.n_trajectories, result.n_attacks);
       dead = true;
       continue;
     }
@@ -501,7 +502,6 @@ int main(int argc, char** argv) {
     rec.matrix = spec.dims_string();
     rec.scenarios = merged.scenarios;
     rec.shards = static_cast<std::uint64_t>(o.shards);
-    rec.cohort = static_cast<std::uint64_t>(o.cohort);
     rec.workers = max_workers();
     rec.scenarios_per_s = scen_per_s;
     obs::record_campaign(rec);
@@ -509,7 +509,6 @@ int main(int argc, char** argv) {
     manifest.set("matrix", spec.dims_string());
     manifest.set("scenarios", merged.scenarios);
     manifest.set("shards", static_cast<std::uint64_t>(o.shards));
-    manifest.set("cohort", static_cast<std::uint64_t>(o.cohort));
     manifest.set("seed", o.seed);
     const std::string written =
         manifest.write("out/advp_campaign.manifest.json");
