@@ -60,7 +60,7 @@ LossResult bce_with_logits_loss(const Tensor& logits, const Tensor& target,
     const float z = logits[i], y = target[i];
     // log(1+exp(-|z|)) + max(z,0) - z*y  (numerically stable)
     const float loss =
-        std::log1p(std::exp(-std::fabs(z))) + std::max(z, 0.f) - z * y;
+        std::log1p(exp_nonpos(-std::fabs(z))) + std::max(z, 0.f) - z * y;
     acc += static_cast<double>(w) * loss;
     r.grad[i] = w * (sigmoidf(z) - y);
     wsum += w;

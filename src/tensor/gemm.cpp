@@ -9,6 +9,7 @@
 #include "core/obs.h"
 #include "core/parallel.h"
 #include "core/scratch.h"
+#include "tensor/activation.h"
 
 #if defined(ADVP_SIMD) && defined(__AVX512F__)
 #define ADVP_GEMM_AVX512 1
@@ -19,11 +20,6 @@
 #endif
 
 namespace advp {
-
-// Defined in tensor/ops.cpp. The SiLU epilogue calls the same out-of-line
-// symbol the SiLU layer calls, so the fused and unfused paths run literally
-// the same code per element.
-float sigmoidf(float x);
 
 namespace {
 
@@ -253,7 +249,10 @@ void micro_avx2(int kc, const float* ap, const float* bp, float* c, int ldc,
 //
 // The configuration is lifted to template parameters so the inner loop
 // compiles to straight-line (vectorizable) code per combination — runtime
-// per-element branches cost ~10x on the bias+ReLU path.
+// per-element branches cost ~10x on the bias+ReLU path. SiLU inlines the
+// branch-free sigmoidf of tensor/activation.h, the same function the SiLU
+// layer and the plan's SiLU pass inline, so the loop vectorizes and every
+// lane runs the scalar call's IEEE operation sequence.
 template <bool kBias, bool kPerCol, bool kBn, Act kAct>
 void epilogue_tile(const GemmEpilogue& ep, float* c, int ldc, int row0,
                    int col0, int mr, int nr) {

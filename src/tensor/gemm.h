@@ -37,6 +37,9 @@
 //    separate bias-scatter and activation sweeps. The per-element float
 //    operation sequence is exactly the unfused one (accumulate, then
 //    bias, then normalize, then activate), so results stay bit-identical.
+//    SiLU inlines tensor/activation.h's sigmoidf (a branch-free replica of
+//    glibc's expf), so the epilogue loop auto-vectorizes without changing
+//    a bit.
 //
 // Reduced-precision inference tier (opt-in per call via GemmExtra):
 //  - kInt8: the weight operand (the one whose GemmCacheSlot the caller

@@ -338,7 +338,7 @@ Tensor softmax_rows(const Tensor& logits) {
     for (int j = 0; j < k; ++j) mx = std::max(mx, logits.at(i, j));
     double z = 0.0;
     for (int j = 0; j < k; ++j) {
-      const float e = std::exp(logits.at(i, j) - mx);
+      const float e = exp_nonpos(logits.at(i, j) - mx);
       p.at(i, j) = e;
       z += e;
     }
@@ -346,15 +346,6 @@ Tensor softmax_rows(const Tensor& logits) {
     for (int j = 0; j < k; ++j) p.at(i, j) *= inv;
   }
   return p;
-}
-
-float sigmoidf(float x) {
-  if (x >= 0.f) {
-    const float e = std::exp(-x);
-    return 1.f / (1.f + e);
-  }
-  const float e = std::exp(x);
-  return e / (1.f + e);
 }
 
 }  // namespace advp

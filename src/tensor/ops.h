@@ -6,6 +6,7 @@
 // d(loss)/d(image) all the way back to the pixels.
 #pragma once
 
+#include "tensor/activation.h"  // sigmoidf, exp_nonpos
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
@@ -103,8 +104,5 @@ Tensor upsample2x_backward(const Tensor& dy);
 
 /// Softmax over the last dimension of a rank-2 tensor [N, K].
 Tensor softmax_rows(const Tensor& logits);
-
-/// Numerically-stable sigmoid.
-float sigmoidf(float x);
 
 }  // namespace advp

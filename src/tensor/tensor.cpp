@@ -140,17 +140,6 @@ Tensor& Tensor::operator*=(float s) {
   return *this;
 }
 
-Tensor& Tensor::apply(const std::function<float(float)>& f) {
-  for (auto& v : data_) v = f(v);
-  return *this;
-}
-
-Tensor Tensor::map(const std::function<float(float)>& f) const {
-  Tensor t = *this;
-  t.apply(f);
-  return t;
-}
-
 Tensor& Tensor::clamp(float lo, float hi) {
   for (auto& v : data_) v = std::min(hi, std::max(lo, v));
   return *this;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <iosfwd>
 #include <vector>
@@ -76,10 +75,20 @@ class Tensor {
   friend Tensor operator-(Tensor lhs, float s) { return lhs -= s; }
   friend Tensor operator*(Tensor lhs, float s) { return lhs *= s; }
 
-  /// Applies f to every element in place; returns *this.
-  Tensor& apply(const std::function<float(float)>& f);
+  /// Applies f (float -> float) to every element in place; returns *this.
+  /// A template, so f inlines and simple loops auto-vectorize.
+  template <class F>
+  Tensor& apply(F&& f) {
+    for (auto& v : data_) v = f(v);
+    return *this;
+  }
   /// Returns a transformed copy.
-  Tensor map(const std::function<float(float)>& f) const;
+  template <class F>
+  Tensor map(F&& f) const {
+    Tensor t = *this;
+    t.apply(f);
+    return t;
+  }
   /// Clamps every element into [lo, hi] in place.
   Tensor& clamp(float lo, float hi);
 

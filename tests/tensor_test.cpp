@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/check.h"
@@ -416,6 +418,69 @@ TEST(SigmoidTest, StableAtExtremes) {
   EXPECT_NEAR(sigmoidf(0.f), 0.5f, 1e-6f);
   EXPECT_NEAR(sigmoidf(100.f), 1.f, 1e-6f);
   EXPECT_NEAR(sigmoidf(-100.f), 0.f, 1e-6f);
+}
+
+// The two-branch sigmoid over std::exp that tensor/activation.h replaced.
+float two_branch_sigmoid(float x) {
+  if (x >= 0.f) {
+    const float e = std::exp(-x);
+    return 1.f / (1.f + e);
+  }
+  const float e = std::exp(x);
+  return e / (1.f + e);
+}
+
+bool same_bits_or_nan(float a, float b) {
+  std::uint32_t ua, ub;
+  std::memcpy(&ua, &a, 4);
+  std::memcpy(&ub, &b, 4);
+  return ua == ub || (std::isnan(a) && std::isnan(b));
+}
+
+// Edge values of the inline exp/sigmoid: signed zeros, infinities, NaN, and
+// 16 floats either side of the underflow threshold log(2^-150) ~= -103.97,
+// of log(2^-149) ~= -103.28 and of log(FLT_MIN) ~= -87.34, where results
+// turn subnormal. tests/activation_test.cpp sweeps every float; this is the
+// cheap subset the sanitizer builds run.
+TEST(SigmoidTest, EdgeValuesMatchLibmBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> xs = {0.f, -0.f, inf, -inf, nan, -nan};
+  for (float c : {-0x1.9fe368p6f, -0x1.9d1d9ep6f, -0x1.5d58a0p6f}) {
+    float lo = c, hi = c;
+    xs.push_back(c);
+    for (int i = 0; i < 16; ++i) {
+      lo = std::nextafter(lo, -inf);
+      hi = std::nextafter(hi, 0.f);
+      xs.push_back(lo);
+      xs.push_back(hi);
+    }
+  }
+  for (float x : xs) {
+    const float nonpos = -std::fabs(x);
+    EXPECT_TRUE(same_bits_or_nan(exp_nonpos(nonpos), std::exp(nonpos)))
+        << nonpos;
+    EXPECT_TRUE(same_bits_or_nan(sigmoidf(x), two_branch_sigmoid(x))) << x;
+    EXPECT_TRUE(same_bits_or_nan(sigmoidf(-x), two_branch_sigmoid(-x))) << x;
+  }
+  // The same values through a (vectorizable) array loop.
+  const Tensor t = Tensor::from_vector({static_cast<int>(xs.size())}, xs);
+  const Tensor silu = t.map([](float v) { return v * sigmoidf(v); });
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    EXPECT_TRUE(
+        same_bits_or_nan(silu[i], xs[i] * two_branch_sigmoid(xs[i])))
+        << xs[i];
+
+  EXPECT_EQ(exp_nonpos(-inf), 0.f);
+  EXPECT_FALSE(std::signbit(exp_nonpos(-inf)));
+  EXPECT_EQ(exp_nonpos(-0.f), 1.f);
+  EXPECT_GT(exp_nonpos(-0x1.9fe368p6f), 0.f);  // 2^-149, the last nonzero
+  EXPECT_EQ(exp_nonpos(std::nextafter(-0x1.9fe368p6f, -inf)), 0.f);
+  EXPECT_EQ(sigmoidf(inf), 1.f);
+  EXPECT_EQ(sigmoidf(-inf), 0.f);
+  EXPECT_EQ(sigmoidf(-0.f), 0.5f);
+  EXPECT_TRUE(std::isnan(sigmoidf(nan)));
+  EXPECT_TRUE(std::isnan(sigmoidf(-nan)));
 }
 
 // Parameterized property sweep: conv forward/backward shape coherence
